@@ -1,12 +1,11 @@
 // E10: persistent store costs — append throughput, recovery time as a
 // function of log length, snapshot + compaction effect, sharded
-// recovery, binary-vs-text codec replay (E10e), and concurrent ingest
-// through the group-commit WAL + per-shard writer queues (E10f).
+// recovery, and concurrent ingest through the group-commit WAL +
+// per-shard writer queues (E10f).
 //
 // Expected shape: appends are cheap and flat (buffered writes; fsync
 // dominates when enabled); recovery time grows linearly with the WAL
-// suffix length; binary payload replay is parse-free and beats text
-// replay well past 2x; and with durability on, N concurrent appenders
+// suffix length; and with durability on, N concurrent appenders
 // share one fsync per commit group instead of paying one each.
 //
 // Every experiment also lands in BENCH_store.json (in the working
@@ -30,7 +29,6 @@
 #include "src/common/timer.h"
 #include "src/provenance/executor.h"
 #include "src/repo/disease.h"
-#include "src/store/codec.h"
 #include "src/store/persistent_repository.h"
 #include "src/store/record.h"
 #include "src/store/sharded_repository.h"
@@ -253,8 +251,7 @@ void TableSnapshotEffect(int scale, BenchJson* json) {
 
 /// A minimal one-workflow spec so the 10k-record logs ingest and
 /// replay quickly; recovery cost is then dominated by per-record
-/// framing + parse, the component sharding and the binary codec
-/// attack.
+/// framing + decode, the component sharding attacks.
 Specification MakeBenchSpec(const std::string& name) {
   SpecBuilder b(name);
   WorkflowId w = b.AddWorkflow("W1", "top", 0);
@@ -391,57 +388,6 @@ void TableShardedRecovery(int scale, BenchJson* json) {
   // cores are available).
   TableShardedRecoveryAt(10000 / scale, json);
   TableShardedRecoveryAt(100000 / scale, json);
-}
-
-// E10e acceptance: replay of the E10d workload stored with v1 text
-// payloads versus v2 binary payloads. Binary replay decodes varints
-// and raw strings instead of re-tokenizing the line-oriented text
-// formats; the target is >= 2x.
-void TableCodecReplay(int scale, BenchJson* json) {
-  constexpr int kSpecs = 8;
-  const int records = 10000 / scale;
-  std::printf(
-      "=== E10e: binary vs text payload replay (%d records) ===\n"
-      "%-10s %-12s %-12s %-14s %-10s\n",
-      records, "codec", "wal-MB", "open-ms", "ms/record", "speedup");
-  StoreOptions options;
-  options.verify_payloads = false;
-  double text_ms = 0;
-  for (PayloadCodec codec : {PayloadCodec::kText, PayloadCodec::kBinary}) {
-    options.codec = codec;
-    const std::string dir =
-        FreshDir(std::string("e10e_") +
-                 std::string(PayloadCodecName(codec)));
-    FillSingleStore(dir, options, kSpecs, records);
-    const double wal_mb = WalBytes(dir) / 1e6;
-    Timer timer;
-    auto reopened = PersistentRepository::Open(dir, options);
-    const double ms = timer.ElapsedMillis();
-    if (!reopened.ok()) {
-      std::printf("E10e open (%s) failed: %s\n",
-                  std::string(PayloadCodecName(codec)).c_str(),
-                  reopened.status().ToString().c_str());
-      continue;
-    }
-    const double speedup = codec == PayloadCodec::kText
-                               ? 1.0
-                               : (text_ms > 0 ? text_ms / ms : 0);
-    if (codec == PayloadCodec::kText) text_ms = ms;
-    char speedup_str[32];
-    std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
-    std::printf("%-10s %-12.2f %-12.1f %-14.4f %-10s\n",
-                std::string(PayloadCodecName(codec)).c_str(), wal_mb, ms,
-                ms / records, speedup_str);
-    json->Add(BenchJson::Row("e10e")
-                  .Str("codec", std::string(PayloadCodecName(codec)))
-                  .Num("records", records)
-                  .Num("wal_mb", wal_mb)
-                  .Num("open_ms", ms)
-                  .Num("ms_per_record", ms / records)
-                  .Num("speedup_vs_text", speedup));
-    fs::remove_all(dir);
-  }
-  std::printf("\n");
 }
 
 // E10f acceptance: concurrent ingest. Two mechanisms are measured:
@@ -762,7 +708,7 @@ void BM_RecordEncode(benchmark::State& state) {
   std::string out;
   for (auto _ : state) {
     out.clear();
-    AppendRecord(RecordType::kExecution, payload, &out);
+    AppendRecord(RecordType::kExecutionV2, payload, &out);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -772,7 +718,7 @@ BENCHMARK(BM_RecordEncode);
 
 void BM_RecordDecode(benchmark::State& state) {
   std::string buf;
-  AppendRecord(RecordType::kExecution, std::string(1024, 'p'), &buf);
+  AppendRecord(RecordType::kExecutionV2, std::string(1024, 'p'), &buf);
   for (auto _ : state) {
     RecordReader reader(buf);
     Record record;
@@ -809,7 +755,7 @@ void BM_WalAppend(benchmark::State& state) {
   auto wal = WriteAheadLog::Create(dir, 0);
   const std::string payload(1024, 'p');
   for (auto _ : state) {
-    wal.value().Append(RecordType::kExecution, payload).value();
+    wal.value().Append(RecordType::kExecutionV2, payload).value();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(payload.size()));
@@ -846,7 +792,6 @@ int main(int argc, char** argv) {
   TableRecoveryVsLogLength(scale, &json);
   TableSnapshotEffect(scale, &json);
   TableShardedRecovery(scale, &json);
-  TableCodecReplay(scale, &json);
   TableConcurrentIngest(scale, &json);
   TableBackgroundCompaction(scale, &json);
   const char* json_path = std::getenv("BENCH_JSON");

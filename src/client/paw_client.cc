@@ -33,7 +33,7 @@ struct PawClient::Rep {
   /// by `max_stashed` — overflow poisons the connection.
   std::unordered_map<uint64_t, wire::Frame> stashed;
   size_t max_stashed = 4096;
-  /// Trace id stamped on the most recent v2 request frame.
+  /// Trace id stamped on the most recent request frame.
   uint64_t last_trace_id = 0;
   /// Unconsumed bytes of the read stream.
   std::string in;
@@ -78,8 +78,8 @@ struct PawClient::Rep {
     frame.opcode = opcode;
     frame.request_id = request_id;
     frame.payload = std::move(payload);
-    if (version >= 2 && opcode != wire::Opcode::kHello) {
-      // Every v2 request carries a trace context: the caller's (an
+    if (opcode != wire::Opcode::kHello) {
+      // Every request carries a trace context: the caller's (an
       // explicit one, or the thread's current trace when this call is
       // nested inside one), else a fresh id so the server can stitch
       // all of this request's spans together.

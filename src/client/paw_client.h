@@ -104,9 +104,9 @@ class PawClient {
       const wire::TraceDumpRequest& request);
   Status Compact();
 
-  /// \brief Trace id stamped on the most recent v2 request frame (0
-  /// on a v1 connection); lets callers correlate a call they just
-  /// made with `TraceDump` output and `trace=` slow-log lines.
+  /// \brief Trace id stamped on the most recent request frame; lets
+  /// callers correlate a call they just made with `TraceDump` output
+  /// and `trace=` slow-log lines.
   uint64_t last_trace_id() const;
 
   // ---- Pipelined calls ----
@@ -143,7 +143,7 @@ class PawClient {
   Result<wire::Frame> ReadPushedFrame();
 
   /// \brief Writes one raw frame (used to ack pushed `kReplicate`
-  /// batches with the leader's request id). `ctx` rides the v2 trace
+  /// batches with the leader's request id). `ctx` rides the trace
   /// trailer — followers echo the pushed batch's context so the
   /// leader's ack handling joins the same trace.
   Status SendRawFrame(wire::Opcode opcode, uint64_t request_id,

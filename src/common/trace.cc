@@ -106,16 +106,25 @@ void TraceRecorder::Record(const Span& span) {
   Slot& slot = ring_[ticket % slots_];
   uint64_t words[Slot::kWords];
   std::memcpy(words, &span, sizeof(span));
-  // Writers that lap each other on a full ring can interleave on one
-  // slot; readers then skip it (seq keeps changing), which is the
-  // right degradation for a flight recorder.
-  const uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq | 1, std::memory_order_relaxed);
+  // Claim the slot by moving its seq from even to odd. Writers that lap
+  // each other on a full ring can race for one slot; the loser drops
+  // its span rather than interleave words with the winner, since two
+  // writers finishing at the same even seq would let a reader accept a
+  // torn span.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_relaxed)) {
+    static Counter& dropped = MetricsRegistry::Global().GetCounter(
+        "paw_trace_spans_dropped_total");
+    dropped.Add();
+    return;
+  }
   std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = 0; i < Slot::kWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.seq.store((seq | 1) + 1, std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
 }
 #endif
 

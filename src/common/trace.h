@@ -9,13 +9,15 @@
 /// a single trace id follow it the whole way:
 ///
 /// - `TraceContext`: the 16-byte context (trace id + parent span id)
-///   carried as a frame trailer on protocol-v2 connections (see
+///   carried as a frame trailer on every non-HELLO frame (see
 ///   src/server/wire.h) and through WAL commit batches into the
 ///   replication stream.
 /// - `TraceRecorder`: a fixed-size ring of structured `Span` records.
 ///   The hot path is one relaxed `fetch_add` to reserve a slot plus a
 ///   per-slot seqlock publish — no mutex, no allocation; concurrent
-///   readers (`Collect`) retry slots that change under them.
+///   readers (`Collect`) retry slots that change under them. A writer
+///   that finds its slot claimed by another (writers lapping each other
+///   on a full ring) drops its span: spans may be lost, never torn.
 /// - Head-sampling: `set_sample_n(n)` records 1-in-n traces,
 ///   deterministically by `trace_id % n`, so every node of a cluster
 ///   independently agrees on whether a given trace is sampled without
@@ -48,8 +50,8 @@ namespace paw {
 
 /// \brief The wire-propagated trace context: which trace a request
 /// belongs to and the sender-side span the receiver should parent its
-/// spans under. `trace_id == 0` means "no context" (an untraced v1
-/// peer, or a background operation).
+/// spans under. `trace_id == 0` means "no context" (e.g. a background
+/// operation).
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
@@ -181,7 +183,8 @@ class TraceRecorder {
   void Record(const Span&) {}
 #else
   /// \brief Writes `span` into the ring (unconditionally — sampling is
-  /// the caller's decision, via `Sampled` or a force bit).
+  /// the caller's decision, via `Sampled` or a force bit). Dropped when
+  /// another writer still holds the slot (see file comment).
   void Record(const Span& span);
 #endif
 
@@ -189,8 +192,8 @@ class TraceRecorder {
   /// trace may interleave with others; callers group by trace id.
   std::vector<Span> Collect() const;
 
-  /// \brief Total spans ever recorded (monotonic; ring overwrites do
-  /// not decrement).
+  /// \brief Total slots ever reserved by `Record` (monotonic; ring
+  /// overwrites and lapped drops do not decrement).
   uint64_t recorded_total() const {
     return next_.load(std::memory_order_relaxed);
   }

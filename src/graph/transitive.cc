@@ -49,41 +49,6 @@ TransitiveClosure TransitiveClosure::Compute(const Digraph& g) {
   return tc;
 }
 
-void TransitiveClosure::GrowTo(NodeIndex n) {
-  if (n <= n_) return;
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
-  if (words == words_per_row_) {
-    bits_.resize(static_cast<size_t>(n) * words, 0);
-    n_ = n;
-    return;
-  }
-  std::vector<uint64_t> wide(static_cast<size_t>(n) * words, 0);
-  for (NodeIndex u = 0; u < n_; ++u) {
-    const uint64_t* src = Row(u);
-    uint64_t* dst = wide.data() + static_cast<size_t>(u) * words;
-    for (size_t w = 0; w < words_per_row_; ++w) dst[w] = src[w];
-  }
-  bits_ = std::move(wide);
-  words_per_row_ = words;
-  n_ = n;
-}
-
-void TransitiveClosure::AddEdgeUpdate(NodeIndex u, NodeIndex v) {
-  PAW_CHECK(u >= 0 && u < n_ && v >= 0 && v < n_)
-      << "AddEdgeUpdate node out of range";
-  if (Reaches(u, v)) return;  // no new pairs
-  // targets = everything the edge newly exposes: v and v's reachables.
-  std::vector<uint64_t> targets(Row(v), Row(v) + words_per_row_);
-  targets[size_t(v) / 64] |= uint64_t{1} << (size_t(v) % 64);
-  // Fold into u and every ancestor of u. A path using the new edge must
-  // visit u first, so "reaches u (before the edge) or is u" is exact.
-  for (NodeIndex a = 0; a < n_; ++a) {
-    if (a != u && !Reaches(a, u)) continue;
-    uint64_t* row = Row(a);
-    for (size_t w = 0; w < words_per_row_; ++w) row[w] |= targets[w];
-  }
-}
-
 bool TransitiveClosure::Reaches(NodeIndex u, NodeIndex v) const {
   if (u < 0 || v < 0 || u >= n_ || v >= n_) return false;
   return (Row(u)[size_t(v) / 64] >> (size_t(v) % 64)) & 1;

@@ -45,20 +45,6 @@ class TransitiveClosure {
   Result<std::vector<std::pair<NodeIndex, NodeIndex>>> PairsMinus(
       const TransitiveClosure& other) const;
 
-  /// \brief Grows the closure to `n` nodes (new rows/columns empty).
-  /// No-op when already that large. Re-layouts rows only when the word
-  /// width changes.
-  void GrowTo(NodeIndex n);
-
-  /// \brief Incrementally folds one added edge `u -> v` into the closure.
-  ///
-  /// Every new reachable pair created by the edge is a path
-  /// `a ->* u -> v ->* b`, so rows of `u` and its ancestors gain `v`'s
-  /// row plus `v` itself; cycles (when `v` already reached `u`) fall out
-  /// of the same union. O(V^2 / 64) worst case — versus O(V * E / 64)
-  /// for a full `Compute`. `u` and `v` must be within `num_nodes()`.
-  void AddEdgeUpdate(NodeIndex u, NodeIndex v);
-
  private:
   TransitiveClosure(NodeIndex n, size_t words_per_row)
       : n_(n), words_per_row_(words_per_row),

@@ -11,11 +11,6 @@ void ReachabilityIndex::Rebuild() {
       TransitiveClosure::Compute(*graph_));
 }
 
-void ReachabilityIndex::ApplyEdgeDelta(NodeIndex u, NodeIndex v) {
-  closure_->GrowTo(graph_->num_nodes());
-  closure_->AddEdgeUpdate(u, v);
-}
-
 bool ReachabilityIndex::Reaches(NodeIndex u, NodeIndex v) const {
   return closure_->Reaches(u, v);
 }

@@ -23,17 +23,8 @@ class ReachabilityIndex {
   /// after mutating the graph).
   explicit ReachabilityIndex(const Digraph& g);
 
-  /// \brief Recomputes the closure from scratch after arbitrary graph
-  /// changes (edge deletions need this; additions do not).
+  /// \brief Recomputes the closure from scratch after graph changes.
   void Rebuild();
-
-  /// \brief Incrementally folds one edge `u -> v` that was just added to
-  /// the graph (call after `Digraph::AddEdge` succeeded). Grows the
-  /// closure first if the graph gained nodes since the last build, so
-  /// append-only growth never pays a from-scratch `Rebuild`. Equivalent
-  /// to `Rebuild()` for any sequence of node/edge additions
-  /// (fuzz-checked in tests/reachability_index_test.cc).
-  void ApplyEdgeDelta(NodeIndex u, NodeIndex v);
 
   /// \brief O(1) reachability probe.
   bool Reaches(NodeIndex u, NodeIndex v) const;

@@ -4,13 +4,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <array>
@@ -230,81 +226,27 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Minimal readiness-multiplexer interface so the event loop runs
-/// unchanged over epoll (Linux default) and poll(2) (portable
-/// fallback, also selectable for tests via `ServerOptions::use_poll`).
+/// The event loop's readiness multiplexer (epoll).
 class Poller {
  public:
-  virtual ~Poller() = default;
-  virtual Status Add(int fd, bool want_write) = 0;
-  virtual Status Mod(int fd, bool want_write) = 0;
-  virtual void Del(int fd) = 0;
-  virtual Result<std::vector<PollEvent>> Wait(int timeout_ms) = 0;
-};
-
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return Status::OK();
-  }
-  Status Mod(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return Status::OK();
-  }
-  void Del(int fd) override { interest_.erase(fd); }
-
-  Result<std::vector<PollEvent>> Wait(int timeout_ms) override {
-    fds_.clear();
-    for (const auto& [fd, want_write] : interest_) {
-      short events = POLLIN;
-      if (want_write) events |= POLLOUT;
-      fds_.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return std::vector<PollEvent>{};
-      return ErrnoStatus("poll");
-    }
-    std::vector<PollEvent> out;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(e);
-    }
-    return out;
-  }
-
- private:
-  std::unordered_map<int, bool> interest_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class EpollPoller : public Poller {
- public:
-  static Result<std::unique_ptr<EpollPoller>> Create() {
+  static Result<std::unique_ptr<Poller>> Create() {
     int fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (fd < 0) return ErrnoStatus("epoll_create1");
-    return std::unique_ptr<EpollPoller>(new EpollPoller(fd));
+    return std::unique_ptr<Poller>(new Poller(fd));
   }
-  ~EpollPoller() override { ::close(epfd_); }
+  ~Poller() { ::close(epfd_); }
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-  Status Add(int fd, bool want_write) override {
+  Status Add(int fd, bool want_write) {
     return Ctl(EPOLL_CTL_ADD, fd, want_write);
   }
-  Status Mod(int fd, bool want_write) override {
+  Status Mod(int fd, bool want_write) {
     return Ctl(EPOLL_CTL_MOD, fd, want_write);
   }
-  void Del(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Del(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  Result<std::vector<PollEvent>> Wait(int timeout_ms) override {
+  Result<std::vector<PollEvent>> Wait(int timeout_ms) {
     epoll_event events[128];
     const int n = ::epoll_wait(epfd_, events, 128, timeout_ms);
     if (n < 0) {
@@ -325,7 +267,7 @@ class EpollPoller : public Poller {
   }
 
  private:
-  explicit EpollPoller(int fd) : epfd_(fd) {}
+  explicit Poller(int fd) : epfd_(fd) {}
   Status Ctl(int op, int fd, bool want_write) {
     epoll_event ev{};
     ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
@@ -337,7 +279,6 @@ class EpollPoller : public Poller {
   }
   int epfd_;
 };
-#endif  // __linux__
 
 /// Backpressure limits: a client that pipelines without ever reading
 /// responses (or floods frames faster than the store drains them)
@@ -345,164 +286,6 @@ class EpollPoller : public Poller {
 /// these caps the connection is dropped — protocol abuse, not load.
 constexpr size_t kMaxQueuedFrames = 16384;
 constexpr size_t kMaxOutputBacklogBytes = 64u << 20;
-
-Result<std::unique_ptr<Poller>> MakePoller(bool use_poll) {
-#ifdef __linux__
-  if (!use_poll) {
-    auto poller = EpollPoller::Create();
-    if (!poller.ok()) return poller.status();
-    return std::unique_ptr<Poller>(std::move(poller).value());
-  }
-#else
-  (void)use_poll;
-#endif
-  return std::unique_ptr<Poller>(std::make_unique<PollPoller>());
-}
-
-// ---- Store abstraction ------------------------------------------------------
-
-/// Where a stored spec lives (store-layout-neutral).
-struct SpecLoc {
-  int shard = 0;
-  int id = -1;
-};
-
-/// Uniform server-side facade over the two store layouts. The server's
-/// lease discipline (see server.h) supplies the concurrency contract:
-/// `AddExecutionAsync` may be called concurrently (shared lease), and
-/// `repo()` reads are safe concurrently with appends when they go
-/// through pinned `RepositoryView`s (which is how the query engines
-/// read); `AddSpec`/`Compact` run only under the exclusive lease after
-/// `Drain`.
-class ServerStore {
- public:
-  virtual ~ServerStore() = default;
-  virtual int num_shards() const = 0;
-  virtual const Repository& repo(int shard) const = 0;
-  /// Exclusive lease only.
-  virtual Result<SpecLoc> AddSpec(Specification spec, PolicySet policy) = 0;
-  /// Shared lease; ack implies the store's durability mode.
-  virtual StoreFuture<ExecutionId> AddExecutionAsync(const SpecLoc& loc,
-                                                     Execution exec) = 0;
-  virtual void Drain() = 0;
-  virtual Status Sync() = 0;
-  virtual Status Compact() = 0;
-  /// Shard LSN rendered globally (epoch-prefixed for sharded stores).
-  /// An atomic read — safe to call concurrently with appends.
-  virtual uint64_t GlobalLsn(int shard) const = 0;
-  /// Raw per-shard WAL LSN — the unit replication speaks (never
-  /// epoch-prefixed). An atomic read.
-  virtual uint64_t ShardLsn(int shard) const = 0;
-  /// One shard's WAL, for commit-sink installation and retention-floor
-  /// moves (replication only).
-  virtual WriteAheadLog* ShardWal(int shard) = 0;
-  /// Follower apply path: appends one replicated record to the shard's
-  /// own WAL with identical framing and replays it (see
-  /// `PersistentRepository::ApplyReplicated`). Caller is the single
-  /// replication apply thread under the server's lease discipline.
-  virtual Result<uint64_t> ApplyReplicated(int shard, RecordType type,
-                                           std::string_view payload) = 0;
-};
-
-/// Single-directory store: appends are serialized on an internal
-/// mutex (the underlying repository is single-writer); with
-/// `sync_each_append` the WAL's own group commit still collapses the
-/// fsyncs of concurrently blocked callers.
-class SingleServerStore : public ServerStore {
- public:
-  explicit SingleServerStore(PersistentRepository store)
-      : store_(std::move(store)) {}
-
-  int num_shards() const override { return 1; }
-  const Repository& repo(int) const override { return store_.repo(); }
-
-  Result<SpecLoc> AddSpec(Specification spec, PolicySet policy) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto id = store_.AddSpecification(std::move(spec), std::move(policy));
-    if (!id.ok()) return id.status();
-    return SpecLoc{0, id.value()};
-  }
-
-  StoreFuture<ExecutionId> AddExecutionAsync(const SpecLoc& loc,
-                                             Execution exec) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return MakeReadyFuture<ExecutionId>(
-        store_.AddExecution(loc.id, std::move(exec)));
-  }
-
-  void Drain() override {}
-  Status Sync() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_.Sync();
-  }
-  Status Compact() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_.Compact();
-  }
-  uint64_t GlobalLsn(int) const override { return store_.lsn(); }
-  uint64_t ShardLsn(int) const override { return store_.lsn(); }
-  WriteAheadLog* ShardWal(int) override { return store_.mutable_wal(); }
-  Result<uint64_t> ApplyReplicated(int, RecordType type,
-                                   std::string_view payload) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_.ApplyReplicated(type, payload);
-  }
-
- private:
-  std::mutex mu_;
-  PersistentRepository store_;
-};
-
-/// Sharded store: appends ride the per-shard writer queues, so many
-/// connections' requests batch into one group commit per shard drain.
-class ShardedServerStore : public ServerStore {
- public:
-  explicit ShardedServerStore(ShardedRepository store)
-      : store_(std::move(store)) {}
-
-  int num_shards() const override { return store_.num_shards(); }
-  const Repository& repo(int shard) const override {
-    return store_.shard(shard).repo();
-  }
-
-  Result<SpecLoc> AddSpec(Specification spec, PolicySet policy) override {
-    auto ref = store_.AddSpecification(std::move(spec), std::move(policy));
-    if (!ref.ok()) return ref.status();
-    return SpecLoc{ref.value().shard, ref.value().id};
-  }
-
-  StoreFuture<ExecutionId> AddExecutionAsync(const SpecLoc& loc,
-                                             Execution exec) override {
-    return store_.AddExecutionAsync({loc.shard, loc.id}, std::move(exec));
-  }
-
-  void Drain() override { store_.Drain(); }
-  Status Sync() override { return store_.Sync(); }
-  Status Compact() override {
-    PAW_RETURN_NOT_OK(store_.CompactAsync());
-    return store_.WaitForCompaction();
-  }
-  uint64_t GlobalLsn(int shard) const override {
-    return ShardedRepository::EpochLsn(store_.epoch(),
-                                       store_.shard(shard).lsn());
-  }
-  uint64_t ShardLsn(int shard) const override {
-    return store_.shard(shard).lsn();
-  }
-  WriteAheadLog* ShardWal(int shard) override {
-    return store_.shard(shard).mutable_wal();
-  }
-  Result<uint64_t> ApplyReplicated(int shard, RecordType type,
-                                   std::string_view payload) override {
-    // The replication apply thread is the only writer on a follower
-    // (write opcodes are rejected), so bypassing the writer queues
-    // preserves the per-shard single-writer contract.
-    return store_.shard(shard).ApplyReplicated(type, payload);
-  }
-
- private:
-  ShardedRepository store_;
-};
 
 // ---- Connection ------------------------------------------------------------
 
@@ -577,7 +360,7 @@ struct Connection : std::enable_shared_from_this<Connection> {
   RequestTrace trace;
   /// Trace context of the request currently being handled: the
   /// client's wire-propagated context, or a server-rooted one when the
-  /// peer sent none (v1 connection).
+  /// peer sent an empty one.
   TraceContext trace_ctx;
 };
 
@@ -589,7 +372,11 @@ struct PawServer::Impl {
   std::string dir;
   ServerOptions options;
 
-  std::unique_ptr<ServerStore> store;
+  /// The store. Appends go through its per-shard writer queues; the
+  /// lease discipline above supplies the concurrency contract (shard
+  /// reads go through the engines' pinned views, `AddSpecification`
+  /// and `Compact` run only under the exclusive lease after `Drain`).
+  std::unique_ptr<ShardedRepository> store;
   AccessControl acl;
   AccessLevel admin_level = 100;
   /// Effective slow-query threshold (ms); < 0 disables the log.
@@ -636,7 +423,7 @@ struct PawServer::Impl {
   /// entry vector — the part that races with appends).
   std::mutex reg_mu;
   struct SpecInfo {
-    SpecLoc loc;
+    ShardedRepository::SpecRef ref;
     const SpecEntry* entry = nullptr;
   };
   std::unordered_map<std::string, SpecInfo> registry;
@@ -756,7 +543,19 @@ struct PawServer::Impl {
     }
   }
 
-  const Repository& repo(int shard) const { return store->repo(shard); }
+  const Repository& repo(int shard) const {
+    return store->shard(shard).repo();
+  }
+
+  /// Shard LSN rendered globally (epoch-prefixed). An atomic read —
+  /// safe to call concurrently with appends.
+  uint64_t GlobalLsn(int shard) const {
+    return ShardedRepository::EpochLsn(store->epoch(),
+                                       store->shard(shard).lsn());
+  }
+
+  /// Raw per-shard WAL LSN — the unit replication speaks.
+  uint64_t ShardLsn(int shard) const { return store->shard(shard).lsn(); }
 
   Result<SpecInfo> FindSpec(const std::string& name) {
     std::lock_guard<std::mutex> lock(reg_mu);
@@ -1138,8 +937,8 @@ struct PawServer::Impl {
                                     : wire::kProtocolVersion;
     resp.opcode = request.opcode;
     resp.request_id = request.request_id;
-    // Echo the effective context on v2 responses: a client that sent
-    // no explicit id learns which trace the server filed it under.
+    // Echo the effective context: a client that sent no explicit id
+    // learns which trace the server filed it under.
     resp.trace = conn->trace_ctx;
     wire::AppendResponseStatus(status, &resp.payload);
     if (status.ok()) resp.payload.append(body);
@@ -1271,10 +1070,11 @@ struct PawServer::Impl {
       // processed before the ops behind it.
       const wire::Frame& frame = batch[i].frame;
       conn->trace = RequestTrace{batch[i].recv_us, 0, 0, 0};
-      // Adopt the client's wire-propagated trace context; a v1 peer
-      // stamps none, so the server roots a fresh trace (its own spans
-      // still group even without client correlation). Subscriber acks
-      // keep whatever the follower echoed.
+      // Adopt the client's wire-propagated trace context; HELLO (and a
+      // client that sends an empty context) carries none, so the server
+      // roots a fresh trace (its own spans still group even without
+      // client correlation). Subscriber acks keep whatever the follower
+      // echoed.
       TraceContext ctx = frame.trace;
       if (!ctx.valid() && frame.opcode != wire::Opcode::kReplicate) {
         ctx.trace_id = TraceRecorder::Global().NewTraceId();
@@ -1498,7 +1298,7 @@ struct PawServer::Impl {
           "replicated batch for unknown shard " +
           std::to_string(req.shard));
     }
-    const uint64_t have = store->ShardLsn(req.shard);
+    const uint64_t have = ShardLsn(req.shard);
     // A reconnect can replay records the follower already applied (the
     // leader streams from segment boundaries): skip the known prefix.
     size_t skip = 0;
@@ -1513,12 +1313,16 @@ struct PawServer::Impl {
     for (size_t k = skip; k < req.records.size(); ++k) {
       const auto& rec = req.records[k];
       const RecordType type = static_cast<RecordType>(rec.type);
-      if (type == RecordType::kSpec || type == RecordType::kSpecV2) {
+      // The replication apply thread is the only writer on a follower
+      // (write opcodes are rejected), so bypassing the writer queues
+      // preserves the per-shard single-writer contract.
+      PersistentRepository& shard = store->shard(req.shard);
+      if (type == RecordType::kSpecV2) {
         // Spec appends pin registry entries from the shard's entry
         // vector — exclusive + drained, exactly like ADD_SPEC.
         std::unique_lock<std::shared_mutex> exclusive = ExclusiveLease();
         store->Drain();
-        auto lsn = store->ApplyReplicated(req.shard, type, rec.payload);
+        auto lsn = shard.ApplyReplicated(type, rec.payload);
         PAW_RETURN_NOT_OK(lsn.status());
         const Repository& r = repo(req.shard);
         const int id = r.num_specs() - 1;
@@ -1530,7 +1334,7 @@ struct PawServer::Impl {
         engines[static_cast<size_t>(req.shard)]->InvalidateSpecViews(id);
       } else {
         std::shared_lock<std::shared_mutex> shared = SharedLease();
-        auto lsn = store->ApplyReplicated(req.shard, type, rec.payload);
+        auto lsn = shard.ApplyReplicated(type, rec.payload);
         PAW_RETURN_NOT_OK(lsn.status());
       }
     }
@@ -1539,7 +1343,7 @@ struct PawServer::Impl {
     if (!options.store.sync_each_append) {
       PAW_RETURN_NOT_OK(store->Sync());
     }
-    return store->ShardLsn(req.shard);
+    return ShardLsn(req.shard);
   }
 
   void HandleHello(Connection* conn, const wire::Frame& frame,
@@ -1645,26 +1449,27 @@ struct PawServer::Impl {
               "", out);
       return;
     }
-    auto loc = store->AddSpec(std::move(spec).value(), std::move(policy));
-    if (!loc.ok()) {
+    auto ref = store->AddSpecification(std::move(spec).value(),
+                                       std::move(policy));
+    if (!ref.ok()) {
       exclusive.unlock();
-      Respond(conn, frame, loc.status(), "", out);
+      Respond(conn, frame, ref.status(), "", out);
       return;
     }
-    const SpecEntry& entry = repo(loc.value().shard).entry(loc.value().id);
+    const SpecEntry& entry = repo(ref.value().shard).entry(ref.value().id);
     {
       std::lock_guard<std::mutex> lock(reg_mu);
-      registry[name] = SpecInfo{loc.value(), &entry};
+      registry[name] = SpecInfo{ref.value(), &entry};
     }
     // Epoch-floor discipline: a spec-affecting append drops any memoized
     // views keyed by this spec id (defensive — ids are append-only, so
     // the slot should be empty) while every other spec's views stay hot.
-    engines[static_cast<size_t>(loc.value().shard)]->InvalidateSpecViews(
-        loc.value().id);
+    engines[static_cast<size_t>(ref.value().shard)]->InvalidateSpecViews(
+        ref.value().id);
     wire::AddSpecResponse resp;
-    resp.shard = loc.value().shard;
-    resp.spec_id = loc.value().id;
-    resp.global_lsn = store->GlobalLsn(loc.value().shard);
+    resp.shard = ref.value().shard;
+    resp.spec_id = ref.value().id;
+    resp.global_lsn = GlobalLsn(ref.value().shard);
     exclusive.unlock();
     Respond(conn, frame, Status::OK(), EncodeAddSpecResponse(resp), out);
   }
@@ -1677,8 +1482,7 @@ struct PawServer::Impl {
                              size_t end, std::string* out) {
     struct Prepared {
       size_t index;
-      SpecLoc loc;
-      int shard = 0;
+      ShardedRepository::SpecRef ref;
       Execution exec;
       TraceContext ctx;
       StoreFuture<ExecutionId> future;
@@ -1686,8 +1490,8 @@ struct PawServer::Impl {
     std::vector<Prepared> run;
     run.reserve(end - begin);
     // Per-frame trace contexts, fixed up front so the enqueue below
-    // and the response emission agree on each frame's trace id (a v1
-    // frame gets a server-rooted one here, exactly once).
+    // and the response emission agree on each frame's trace id (a frame
+    // without one gets a server-rooted one here, exactly once).
     std::vector<TraceContext> ctxs(end - begin);
     for (size_t i = begin; i < end; ++i) {
       ctxs[i - begin] = batch[i].frame.trace;
@@ -1716,8 +1520,8 @@ struct PawServer::Impl {
         failures.emplace_back(i, exec.status());
         continue;
       }
-      Prepared p{i, info.value().loc, info.value().loc.shard,
-                 std::move(exec).value(), ctxs[i - begin], {}};
+      Prepared p{i, info.value().ref, std::move(exec).value(),
+                 ctxs[i - begin], {}};
       run.push_back(std::move(p));
     }
     int64_t lease_us = 0;
@@ -1729,7 +1533,7 @@ struct PawServer::Impl {
         // enqueue, so the shard's commit (and the replication stream
         // behind it) carries this frame's trace id.
         ScopedTraceContext op_ctx(p.ctx);
-        p.future = store->AddExecutionAsync(p.loc, std::move(p.exec));
+        p.future = store->AddExecutionAsync(p.ref, std::move(p.exec));
       }
     }
     // Emit responses in request order (failures interleaved). Each
@@ -1753,14 +1557,15 @@ struct PawServer::Impl {
         // acks=quorum: the ack additionally means "a follower has this
         // durable". Waiting on the shard's current tail is conservative
         // (it may cover later writes too) but always covers this one.
-        const uint64_t lsn = store->ShardLsn(p.shard);
+        const int shard = p.ref.shard;
+        const uint64_t lsn = ShardLsn(shard);
         bool quorum_ok;
         {
           ScopedTraceContext tl(p.ctx);
           ScopedSpan qspan("quorum.wait");
-          qspan.set_detail("shard=" + std::to_string(p.shard) +
+          qspan.set_detail("shard=" + std::to_string(shard) +
                            " lsn=" + std::to_string(lsn));
-          quorum_ok = repl->WaitForQuorum(p.shard, lsn,
+          quorum_ok = repl->WaitForQuorum(shard, lsn,
                                           options.quorum_timeout_ms);
         }
         if (!quorum_ok) {
@@ -1768,7 +1573,7 @@ struct PawServer::Impl {
                   Status::FailedPrecondition(
                       "quorum ack timeout: the write is durable on the "
                       "leader, but no follower confirmed shard " +
-                      std::to_string(p.shard) + " lsn " +
+                      std::to_string(shard) + " lsn " +
                       std::to_string(lsn) + " within " +
                       std::to_string(options.quorum_timeout_ms) + " ms"),
                   "", out);
@@ -1776,9 +1581,9 @@ struct PawServer::Impl {
         }
       }
       wire::AddExecutionResponse resp;
-      resp.shard = p.shard;
+      resp.shard = p.ref.shard;
       resp.exec_id = id.value().value();
-      resp.global_lsn = store->GlobalLsn(p.shard);
+      resp.global_lsn = GlobalLsn(p.ref.shard);
       Respond(conn, batch[i].frame, Status::OK(),
               EncodeAddExecutionResponse(resp), out);
     }
@@ -1841,8 +1646,8 @@ struct PawServer::Impl {
     std::shared_lock<std::shared_mutex> shared = SharedLease();
     conn->trace.lease_us = NowMicros();
     QueryEngine* engine =
-        engines[static_cast<size_t>(info.value().loc.shard)].get();
-    auto found = engine->ExecutionByOrdinal(info.value().loc.id,
+        engines[static_cast<size_t>(info.value().ref.shard)].get();
+    auto found = engine->ExecutionByOrdinal(info.value().ref.id,
                                             req.value().ordinal);
     if (!found.ok()) {
       shared.unlock();
@@ -1997,8 +1802,8 @@ struct PawServer::Impl {
     std::shared_lock<std::shared_mutex> shared = SharedLease();
     conn->trace.lease_us = NowMicros();
     auto matches =
-        engines[static_cast<size_t>(info.value().loc.shard)]->Structural(
-            conn->principal, info.value().loc.id, pattern);
+        engines[static_cast<size_t>(info.value().ref.shard)]->Structural(
+            conn->principal, info.value().ref.id, pattern);
     conn->trace.engine_us = NowMicros();
     shared.unlock();
     if (!matches.ok()) {
@@ -2038,8 +1843,8 @@ struct PawServer::Impl {
     std::shared_lock<std::shared_mutex> shared = SharedLease();
     conn->trace.lease_us = NowMicros();
     QueryEngine* engine =
-        engines[static_cast<size_t>(info.value().loc.shard)].get();
-    auto found = engine->ExecutionByOrdinal(info.value().loc.id,
+        engines[static_cast<size_t>(info.value().ref.shard)].get();
+    auto found = engine->ExecutionByOrdinal(info.value().ref.id,
                                             req.value().ordinal);
     if (!found.ok()) {
       shared.unlock();
@@ -2102,7 +1907,7 @@ struct PawServer::Impl {
                        " execution(s)";
     for (int s = 0; s < store->num_shards(); ++s) {
       text += "\nshard " + std::to_string(s) + ": lsn " +
-              std::to_string(store->GlobalLsn(s));
+              std::to_string(GlobalLsn(s));
     }
     if (is_follower) {
       text += "\nfollower of " + options.follow_host + ":" +
@@ -2136,7 +1941,8 @@ struct PawServer::Impl {
     std::unique_lock<std::shared_mutex> exclusive = ExclusiveLease();
     store->Drain();
     conn->trace.lease_us = NowMicros();
-    const Status status = store->Compact();
+    Status status = store->CompactAsync();
+    if (status.ok()) status = store->WaitForCompaction();
     exclusive.unlock();
     Respond(conn, frame, status, "", out);
   }
@@ -2245,19 +2051,17 @@ Result<std::unique_ptr<PawServer>> PawServer::Start(const std::string& dir,
   impl->dir = dir;
   impl->admin_level = options.admin_level;
 
-  // Open (and lock) the store; layout auto-detected.
-  if (ShardedRepository::IsShardedStore(dir)) {
-    auto store = ShardedRepository::Open(dir, options.store,
-                                         options.open_threads);
-    if (!store.ok()) return store.status();
-    impl->store =
-        std::make_unique<ShardedServerStore>(std::move(store).value());
-  } else {
-    auto store = PersistentRepository::Open(dir, options.store);
-    if (!store.ok()) return store.status();
-    impl->store =
-        std::make_unique<SingleServerStore>(std::move(store).value());
+  // Open (and lock) the store. Refuse a directory without a shard
+  // manifest before touching it.
+  if (!ShardedRepository::IsShardedStore(dir)) {
+    return Status::FailedPrecondition(
+        dir + " has no PAWSHARDS manifest; create a store with "
+        "`pawctl init " + dir + "`");
   }
+  auto store =
+      ShardedRepository::Open(dir, options.store, options.open_threads);
+  if (!store.ok()) return store.status();
+  impl->store = std::make_unique<ShardedRepository>(std::move(store).value());
 
   // Principal registry.
   if (options.principals.empty()) {
@@ -2292,7 +2096,7 @@ Result<std::unique_ptr<PawServer>> PawServer::Start(const std::string& dir,
   PAW_RETURN_NOT_OK(SetNonBlocking(impl->wake_read));
   PAW_RETURN_NOT_OK(SetNonBlocking(impl->wake_write));
 
-  PAW_ASSIGN_OR_RETURN(impl->poller, MakePoller(impl->options.use_poll));
+  PAW_ASSIGN_OR_RETURN(impl->poller, Poller::Create());
   PAW_RETURN_NOT_OK(impl->poller->Add(impl->listen_fd, false));
   PAW_RETURN_NOT_OK(impl->poller->Add(impl->wake_read, false));
 
@@ -2316,7 +2120,7 @@ Result<std::unique_ptr<PawServer>> PawServer::Start(const std::string& dir,
         [raw] {
           std::vector<uint64_t> lsns;
           for (int s = 0; s < raw->store->num_shards(); ++s) {
-            lsns.push_back(raw->store->ShardLsn(s));
+            lsns.push_back(raw->ShardLsn(s));
           }
           return lsns;
         },
@@ -2326,7 +2130,7 @@ Result<std::unique_ptr<PawServer>> PawServer::Start(const std::string& dir,
   } else {
     std::vector<WriteAheadLog*> wals;
     for (int s = 0; s < impl->store->num_shards(); ++s) {
-      wals.push_back(impl->store->ShardWal(s));
+      wals.push_back(impl->store->shard(s).mutable_wal());
     }
     impl->repl = std::make_unique<ReplicationManager>(std::move(wals));
     impl->repl->Start();

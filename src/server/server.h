@@ -4,14 +4,13 @@
 /// \file server.h
 /// \brief `pawd` — the multi-user provenance server.
 ///
-/// Fronts a persistent store (single-directory or sharded, auto-
-/// detected) and the privacy-aware query engine over the binary wire
-/// protocol of `src/server/wire.h`. The design is a classic reactor:
+/// Fronts a sharded persistent store (`ShardedRepository`, created by
+/// `pawctl init`) and the privacy-aware query engine over the binary
+/// wire protocol of `src/server/wire.h`. The design is a classic
+/// reactor:
 ///
 ///  - One *event-loop thread* owns the listening socket and every
-///    connection fd, multiplexed through epoll (default on Linux) or
-///    a portable `poll` fallback (`ServerOptions::use_poll`). It
-///    reads bytes, parses frames, flushes responses, enforces idle
+///    connection fd, multiplexed through epoll. It reads bytes, parses frames, flushes responses, enforces idle
 ///    timeouts, and closes connections on protocol corruption (a bad
 ///    magic/CRC poisons the stream — there is no way to resync).
 ///  - A fixed *worker pool* executes requests. Frames of one
@@ -98,8 +97,6 @@ struct ServerOptions {
   /// < 0 disables. Left at the default, `Start` mirrors
   /// `store.slow_query_ms` here so one knob configures both layers.
   int slow_query_ms = 100;
-  /// Force the portable poll(2) backend instead of epoll.
-  bool use_poll = false;
   /// Minimum level for COMPACT.
   AccessLevel admin_level = 100;
   /// Reported in the HELLO response.
@@ -162,9 +159,9 @@ class PawServer {
     std::atomic<uint64_t> idle_closed{0};
   };
 
-  /// \brief Opens (and locks) the store under `dir`, binds the
-  /// socket, and spawns the event loop + workers. The store layout
-  /// (single vs sharded) is auto-detected.
+  /// \brief Opens (and locks) the sharded store under `dir`, binds the
+  /// socket, and spawns the event loop + workers. A directory without
+  /// a `PAWSHARDS` manifest is refused untouched.
   static Result<std::unique_ptr<PawServer>> Start(const std::string& dir,
                                                   ServerOptions options);
 

@@ -45,12 +45,10 @@ bool IsValidOpcode(uint8_t op) {
 
 namespace {
 
-/// True iff a frame of this (version, opcode) carries the 16-byte
-/// trace-context trailer after its body. HELLO is exempt: it travels
-/// before the version is agreed.
-bool FrameHasTraceTrailer(uint8_t version, Opcode opcode) {
-  return version >= 2 && opcode != Opcode::kHello;
-}
+/// True iff a frame of this opcode carries the 16-byte trace-context
+/// trailer after its body. HELLO is exempt: it travels before the
+/// version is agreed.
+bool FrameHasTraceTrailer(Opcode opcode) { return opcode != Opcode::kHello; }
 
 }  // namespace
 
@@ -77,10 +75,10 @@ std::string_view OpcodeName(Opcode op) {
 
 void AppendFrame(const Frame& frame, std::string* out) {
   // CRC covers version..payload; build that region once, checksum it,
-  // then splice the prefix in front. On v2 non-HELLO frames the
+  // then splice the prefix in front. On non-HELLO frames the
   // trace-context trailer rides inside the payload region (counted and
   // checksummed like body bytes).
-  const bool trailer = FrameHasTraceTrailer(frame.version, frame.opcode);
+  const bool trailer = FrameHasTraceTrailer(frame.opcode);
   std::string covered;
   covered.reserve(1 + 1 + 8 + frame.payload.size() +
                   (trailer ? kTraceContextBytes : 0));
@@ -146,9 +144,9 @@ ParseResult ParseFrame(std::string_view buf, Frame* frame,
   GetFixed64(covered, &id_offset, &frame->request_id);
   std::string_view body = covered.substr(10);
   frame->trace = TraceContext{};
-  if (FrameHasTraceTrailer(version, frame->opcode)) {
+  if (FrameHasTraceTrailer(frame->opcode)) {
     if (body.size() < kTraceContextBytes) {
-      *error = "v2 frame too short for trace trailer";
+      *error = "frame too short for trace trailer";
       return ParseResult::kBad;
     }
     ParseTraceContext(body.substr(body.size() - kTraceContextBytes),

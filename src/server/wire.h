@@ -27,25 +27,21 @@
 /// The server answers with the highest version both sides support and
 /// every later frame on the connection — both directions — must carry
 /// it; a disjoint range is a `FailedPrecondition` error response
-/// followed by connection close. Frame *layout* is invariant across
-/// versions (the version byte gates payload semantics), so a v1 parser
-/// can always frame a future-version stream even when it cannot
-/// interpret it.
+/// followed by connection close. This build speaks exactly one version
+/// (`kMinProtocolVersion == kProtocolVersion == 2`); the handshake
+/// stays so a future version can be negotiated the same way.
 ///
-/// **Trace-context trailer (v2).** On a connection that negotiated
-/// protocol version ≥ 2, every post-HELLO frame — both directions —
-/// carries a 16-byte trailer (`fixed64 trace_id | fixed64 span_id`,
-/// src/common/trace.h) appended after the body. The trailer is part of
-/// the payload for framing purposes (counted by `payload u32`, covered
-/// by the CRC) and is stripped by `ParseFrame` into `Frame::trace`, so
-/// body codecs are identical across versions. HELLO frames never carry
-/// it (negotiation happens before the version is agreed), which is
-/// also why a v1 peer — which never sees a v2 frame — interoperates
-/// unchanged.
+/// **Trace-context trailer.** Every frame except HELLO — both
+/// directions — carries a 16-byte trailer (`fixed64 trace_id | fixed64
+/// span_id`, src/common/trace.h) appended after the body. The trailer
+/// is part of the payload for framing purposes (counted by
+/// `payload u32`, covered by the CRC) and is stripped by `ParseFrame`
+/// into `Frame::trace`. HELLO frames never carry it: they travel before
+/// the version is agreed.
 ///
 /// **Responses** reuse the request's opcode and request id; every
 /// response payload begins with `varint status_code | str message`
-/// (`str` = varint length + raw bytes, as in the store's v2 codec),
+/// (`str` = varint length + raw bytes, as in the store's record codec),
 /// followed by the op-specific body only when the status is OK.
 ///
 /// Request/response body layouts are documented next to their structs
@@ -66,12 +62,12 @@ namespace wire {
 /// \brief Frame magic: "PAW!" little-endian.
 inline constexpr uint32_t kMagic = 0x21574150u;
 
-/// \brief Newest protocol version this build speaks. v2 = v1 plus the
-/// trace-context frame trailer (see file comment); bodies are
-/// unchanged.
+/// \brief Newest protocol version this build speaks: frames carry the
+/// trace-context trailer (see file comment).
 inline constexpr uint8_t kProtocolVersion = 2;
-/// \brief Oldest protocol version this build still accepts.
-inline constexpr uint8_t kMinProtocolVersion = 1;
+/// \brief Oldest protocol version this build accepts. Version 1 (no
+/// trace trailer) is retired.
+inline constexpr uint8_t kMinProtocolVersion = 2;
 
 /// \brief Frame header size: magic + payload_len + crc + version +
 /// opcode + request id.
@@ -114,7 +110,7 @@ struct Frame {
   uint64_t request_id = 0;
   std::string payload;
   /// Trace-context trailer: filled by `ParseFrame` / consumed by
-  /// `AppendFrame` on v2 non-HELLO frames; all zero otherwise.
+  /// `AppendFrame` on every non-HELLO frame; all zero on HELLO.
   TraceContext trace;
 };
 

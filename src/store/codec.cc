@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "src/common/crc32.h"
-#include "src/privacy/policy_text.h"
-#include "src/provenance/serialize.h"
 #include "src/workflow/builder.h"
-#include "src/workflow/serialize.h"
 
 namespace paw {
 namespace {
@@ -35,70 +32,6 @@ void PutLevel(std::string* out, AccessLevel level) {
 }
 
 }  // namespace
-
-std::string_view PayloadCodecName(PayloadCodec codec) {
-  return codec == PayloadCodec::kBinary ? "binary" : "text";
-}
-
-// ---- v1 text payloads -------------------------------------------------------
-
-std::string EncodeSpecPayload(const Specification& spec,
-                              const PolicySet& policy) {
-  const std::string spec_text = Serialize(spec);
-  const std::string policy_text = SerializePolicy(policy);
-  std::string out;
-  out.reserve(spec_text.size() + policy_text.size() + 8);
-  PutFixed32(&out, static_cast<uint32_t>(spec_text.size()));
-  out += spec_text;
-  PutFixed32(&out, static_cast<uint32_t>(policy_text.size()));
-  out += policy_text;
-  return out;
-}
-
-Result<DecodedSpec> DecodeSpecPayload(std::string_view payload) {
-  size_t pos = 0;
-  uint32_t spec_len = 0, policy_len = 0;
-  std::string_view spec_text, policy_text;
-  if (!GetFixed32(payload, &pos, &spec_len) ||
-      !GetBytes(payload, &pos, spec_len, &spec_text) ||
-      !GetFixed32(payload, &pos, &policy_len) ||
-      !GetBytes(payload, &pos, policy_len, &policy_text) ||
-      pos != payload.size()) {
-    return Malformed("spec");
-  }
-  DecodedSpec out;
-  PAW_ASSIGN_OR_RETURN(out.spec,
-                       ParseSpecification(std::string(spec_text)));
-  PAW_ASSIGN_OR_RETURN(out.policy,
-                       ParsePolicy(std::string(policy_text), out.spec));
-  return out;
-}
-
-std::string EncodeExecutionPayload(int spec_id, const Execution& exec) {
-  std::string out;
-  PutFixed32(&out, static_cast<uint32_t>(spec_id));
-  out += SerializeExecution(exec);
-  return out;
-}
-
-Result<DecodedExecutionText> DecodeExecutionPayload(
-    std::string_view payload) {
-  size_t pos = 0;
-  uint32_t id = 0;
-  if (!GetFixed32(payload, &pos, &id)) {
-    return Malformed("execution");
-  }
-  if (id > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
-    return Status::InvalidArgument("execution record spec id overflows: " +
-                                   std::to_string(id));
-  }
-  DecodedExecutionText out;
-  out.spec_id = static_cast<int>(id);
-  out.exec_text.assign(payload.substr(pos));
-  return out;
-}
-
-// ---- v2 binary payloads -----------------------------------------------------
 
 std::string EncodeSpecPayloadV2(const Specification& spec,
                                 const PolicySet& policy) {
@@ -430,17 +363,10 @@ Result<Execution> DecodeExecutionPayloadV2(std::string_view payload,
   return exec;
 }
 
-Result<int> DecodeExecutionSpecId(RecordType type,
-                                  std::string_view payload) {
+Result<int> DecodeExecutionSpecId(std::string_view payload) {
   size_t pos = 0;
   uint32_t id = 0;
-  bool ok = false;
-  if (type == RecordType::kExecution) {
-    ok = GetFixed32(payload, &pos, &id);
-  } else if (type == RecordType::kExecutionV2) {
-    ok = GetVarint32(payload, &pos, &id);
-  }
-  if (!ok) return Malformed("execution");
+  if (!GetVarint32(payload, &pos, &id)) return Malformed("execution");
   if (id > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
     return Status::InvalidArgument("execution record spec id overflows: " +
                                    std::to_string(id));
@@ -452,37 +378,26 @@ Result<int> DecodeExecutionSpecId(RecordType type,
 
 Status ApplyRecord(const Record& record, Repository* repo) {
   switch (record.type) {
-    case RecordType::kSpec:
     case RecordType::kSpecV2: {
       PAW_ASSIGN_OR_RETURN(DecodedSpec decoded,
-                           record.type == RecordType::kSpec
-                               ? DecodeSpecPayload(record.payload)
-                               : DecodeSpecPayloadV2(record.payload));
+                           DecodeSpecPayloadV2(record.payload));
       return repo
           ->AddSpecification(std::move(decoded.spec),
                              std::move(decoded.policy))
           .status();
     }
-    case RecordType::kExecution:
     case RecordType::kExecutionV2: {
-      PAW_ASSIGN_OR_RETURN(
-          const int spec_id,
-          DecodeExecutionSpecId(record.type, record.payload));
+      PAW_ASSIGN_OR_RETURN(const int spec_id,
+                           DecodeExecutionSpecId(record.payload));
       if (spec_id >= repo->num_specs()) {
         return Status::InvalidArgument(
             "execution record references unknown spec " +
             std::to_string(spec_id));
       }
-      const Specification& spec = repo->entry(spec_id).spec;
-      Execution exec(spec);
-      if (record.type == RecordType::kExecution) {
-        PAW_ASSIGN_OR_RETURN(DecodedExecutionText decoded,
-                             DecodeExecutionPayload(record.payload));
-        PAW_ASSIGN_OR_RETURN(exec, ParseExecution(decoded.exec_text, spec));
-      } else {
-        PAW_ASSIGN_OR_RETURN(
-            exec, DecodeExecutionPayloadV2(record.payload, spec));
-      }
+      PAW_ASSIGN_OR_RETURN(
+          Execution exec,
+          DecodeExecutionPayloadV2(record.payload,
+                                   repo->entry(spec_id).spec));
       return repo->AddExecution(spec_id, std::move(exec)).status();
     }
     case RecordType::kWalHeader:
@@ -490,6 +405,12 @@ Status ApplyRecord(const Record& record, Repository* repo) {
       return Status::InvalidArgument(
           std::string("cannot apply record of type ") +
           std::string(RecordTypeName(record.type)));
+  }
+  if (IsRetiredTextRecord(record.type)) {
+    return Status::FailedPrecondition(
+        "v1 text record (type " +
+        std::to_string(static_cast<int>(record.type)) +
+        ") is no longer readable; only binary payloads are supported");
   }
   return Status::InvalidArgument("unknown record type");
 }

@@ -2,22 +2,12 @@
 #define PAW_STORE_CODEC_H_
 
 /// \file codec.h
-/// \brief Payload layouts for spec and execution records, v1 and v2.
+/// \brief Binary payload layouts for spec and execution records.
 ///
-/// **v1 (text)** payloads embed the human-readable serializers — a spec
-/// payload carries `Serialize()` text plus `SerializePolicy()` text, an
-/// execution payload carries `SerializeExecution()` text — framed with
-/// fixed-width lengths:
-///
-/// \code
-///   kSpec:       u32 spec_len | spec text | u32 policy_len | policy text
-///   kExecution:  u32 spec_id  | execution text
-/// \endcode
-///
-/// **v2 (binary)** payloads are length-prefixed binary: varint ids and
-/// counts, raw (unescaped, unquoted) string bytes. Replay re-tokenizes
-/// nothing — module references are dense indices, not codes — which is
-/// what makes binary replay parse-free (bench_store E10e):
+/// Payloads are length-prefixed binary: varint ids and counts, raw
+/// (unescaped, unquoted) string bytes. Replay re-tokenizes nothing —
+/// module references are dense indices, not codes — so replay is
+/// parse-free:
 ///
 /// \code
 ///   kSpecV2:
@@ -41,14 +31,12 @@
 ///                        varint n_item_ids | varint item_id... }
 /// \endcode
 ///
-/// where `str` is a varint byte length followed by the raw bytes. The
-/// binary format carries arbitrary bytes (raw newlines, semicolons, any
-/// UTF-8) that the line-oriented text format cannot.
+/// where `str` is a varint byte length followed by the raw bytes, so
+/// payloads carry arbitrary bytes (raw newlines, semicolons, any UTF-8).
 ///
-/// `ApplyRecord` replays one decoded record of either version into a
-/// `Repository`; it is the single code path used by both snapshot
-/// loading and WAL replay, so recovered state is bit-identical to
-/// freshly ingested state.
+/// `ApplyRecord` replays one record into a `Repository`; it is the
+/// single code path used by both snapshot loading and WAL replay, so
+/// recovered state is bit-identical to freshly ingested state.
 
 #include <string>
 
@@ -61,48 +49,13 @@
 
 namespace paw {
 
-/// \brief Which payload format the store writes. Both are always
-/// readable; the knob controls appends and snapshot rewrites only.
-enum class PayloadCodec {
-  /// v2 binary payloads (`kSpecV2` / `kExecutionV2`): compact and
-  /// parse-free on replay. The default.
-  kBinary,
-  /// v1 text payloads (`kSpec` / `kExecution`): human-recoverable with
-  /// a hex editor, but re-tokenized on every replay.
-  kText,
-};
-
-/// \brief Short name of a payload codec ("binary" / "text").
-std::string_view PayloadCodecName(PayloadCodec codec);
-
-// ---- v1 text payloads -------------------------------------------------------
-
-/// \brief Builds a v1 `kSpec` payload from a spec and its policy.
-std::string EncodeSpecPayload(const Specification& spec,
-                              const PolicySet& policy);
-
-/// \brief Decodes a `kSpec` payload back into a spec + policy.
+/// \brief A decoded spec record: the spec and its policy.
 struct DecodedSpec {
   Specification spec;
   PolicySet policy;
 };
-Result<DecodedSpec> DecodeSpecPayload(std::string_view payload);
 
-/// \brief Builds a v1 `kExecution` payload for an execution of `spec_id`.
-std::string EncodeExecutionPayload(int spec_id, const Execution& exec);
-
-/// \brief A v1 `kExecution` payload split into its spec id and the
-/// execution text (parsed later against the owning spec).
-struct DecodedExecutionText {
-  int spec_id = -1;
-  std::string exec_text;
-};
-Result<DecodedExecutionText> DecodeExecutionPayload(
-    std::string_view payload);
-
-// ---- v2 binary payloads -----------------------------------------------------
-
-/// \brief Builds a v2 `kSpecV2` payload from a spec and its policy.
+/// \brief Builds a `kSpecV2` payload from a spec and its policy.
 std::string EncodeSpecPayloadV2(const Specification& spec,
                                 const PolicySet& policy);
 
@@ -110,27 +63,27 @@ std::string EncodeSpecPayloadV2(const Specification& spec,
 /// policy exactly as ingest does.
 Result<DecodedSpec> DecodeSpecPayloadV2(std::string_view payload);
 
-/// \brief Builds a v2 `kExecutionV2` payload for an execution of
+/// \brief Builds a `kExecutionV2` payload for an execution of
 /// `spec_id`.
 std::string EncodeExecutionPayloadV2(int spec_id, const Execution& exec);
 
-/// \brief Decodes a v2 execution payload against its owning spec.
+/// \brief Decodes a `kExecutionV2` payload against its owning spec.
 Result<Execution> DecodeExecutionPayloadV2(std::string_view payload,
                                            const Specification& spec);
 
-/// \brief Reads just the spec id of a `kExecution` / `kExecutionV2`
-/// payload (replay needs it to locate the owning spec before the body
-/// can be decoded). Rejects ids outside [0, INT32_MAX].
-Result<int> DecodeExecutionSpecId(RecordType type,
-                                  std::string_view payload);
+/// \brief Reads just the spec id of a `kExecutionV2` payload (replay
+/// needs it to locate the owning spec before the body can be decoded).
+/// Rejects ids outside [0, INT32_MAX].
+Result<int> DecodeExecutionSpecId(std::string_view payload);
 
 // ---- Replay -----------------------------------------------------------------
 
-/// \brief Replays one spec / execution record (either version) into
-/// `repo`.
+/// \brief Replays one spec / execution record into `repo`.
 ///
 /// Entries are assigned the next dense id, so replaying records in
-/// append order reproduces the original id assignment exactly.
+/// append order reproduces the original id assignment exactly. A
+/// retired v1 text record (type 2 or 3) is a FailedPrecondition: this
+/// build reads only binary payloads.
 Status ApplyRecord(const Record& record, Repository* repo);
 
 /// \brief Durability metadata for an entry persisted as `payload` at

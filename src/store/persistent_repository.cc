@@ -8,7 +8,6 @@
 #include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
-#include "src/provenance/serialize.h"
 #include "src/store/codec.h"
 #include "src/store/snapshot.h"
 #include "src/workflow/validate.h"
@@ -52,14 +51,12 @@ Histogram& CompactionPhaseSeconds(CompactionPhase phase) {
 }
 
 constexpr std::string_view kMarkerName = "PAWSTORE";
-/// v1: every record is a text payload. v2: records may also be binary
-/// (kSpecV2 / kExecutionV2). Both are readable by this build; the
-/// marker exists so a hypothetical v1-only reader fails loudly on a
-/// store that may contain records it cannot parse.
-constexpr std::string_view kMarkerV1 = "pawstore 1\n";
-constexpr std::string_view kMarkerV2 = "pawstore 2\n";
-// Manifest of a *sharded* store root (src/store/sharded_repository.h);
-// a single-directory store must never be created inside one.
+/// The one supported format: every record is a binary payload. Stores
+/// written with the retired v1 text codec carry "pawstore 1" and are
+/// refused on open.
+constexpr std::string_view kMarker = "pawstore 2\n";
+// Manifest of a store root (src/store/sharded_repository.h); a shard
+// engine must never be created in the root itself.
 constexpr std::string_view kShardManifestName = "PAWSHARDS";
 
 std::string MarkerPath(const std::string& dir) {
@@ -134,15 +131,12 @@ Result<PersistentRepository> PersistentRepository::Init(
   // Claim the directory before creating any store file, so two
   // concurrent Inits cannot interleave.
   PAW_ASSIGN_OR_RETURN(StoreDirLock lock, StoreDirLock::Acquire(dir));
-  const bool binary = options.codec == PayloadCodec::kBinary;
-  PAW_RETURN_NOT_OK(
-      AtomicWriteFile(MarkerPath(dir), binary ? kMarkerV2 : kMarkerV1));
+  PAW_RETURN_NOT_OK(AtomicWriteFile(MarkerPath(dir), kMarker));
   PAW_ASSIGN_OR_RETURN(
       WriteAheadLog wal,
       WriteAheadLog::Create(dir, /*base_lsn=*/0, WalOptionsFrom(options)));
   PersistentRepository store(dir, std::move(wal), std::move(options));
   store.lock_ = std::move(lock);
-  store.format_version_ = binary ? 2 : 1;
   return store;
 }
 
@@ -150,23 +144,20 @@ Result<PersistentRepository> PersistentRepository::Open(
     const std::string& dir, Options options) {
   PAW_ASSIGN_OR_RETURN(std::string marker,
                        ReadFileToString(MarkerPath(dir)));
-  int format_version = 0;
-  if (marker == kMarkerV1) {
-    format_version = 1;
-  } else if (marker == kMarkerV2) {
-    format_version = 2;
-  } else {
+  // Checked before the lock and any repair, so refusing a store never
+  // modifies it.
+  if (marker == "pawstore 1\n") {
+    return Status::FailedPrecondition(
+        dir + " is a v1 (text-record) paw store; this build reads only "
+        "pawstore 2 stores");
+  }
+  if (marker != kMarker) {
     return Status::FailedPrecondition(dir + " is not a paw store (bad " +
                                       std::string(kMarkerName) + ")");
   }
-  // Version negotiation: opening a v1 store with the binary codec
-  // upgrades the marker to v2 — but only after recovery succeeds (see
-  // below), so a failed or diagnostic open never mutates the store.
-  const bool upgrade_marker =
-      format_version == 1 && options.codec == PayloadCodec::kBinary;
 
   // Exclude other read-write openers before the first mutation below
-  // (temp reclaim, torn-tail repair, marker bump all rewrite files).
+  // (temp reclaim and torn-tail repair both rewrite files).
   PAW_ASSIGN_OR_RETURN(StoreDirLock lock, StoreDirLock::Acquire(dir));
 
   // A crash between AtomicWriteFile's temp write and rename (snapshot
@@ -211,8 +202,7 @@ Result<PersistentRepository> PersistentRepository::Open(
     PAW_RETURN_NOT_OK(ApplyRecord(replay.records[i], &repo));
     ++recovery.records_replayed;
     // Stamp the replayed entry (the newest spec or execution).
-    if (replay.records[i].type == RecordType::kSpec ||
-        replay.records[i].type == RecordType::kSpecV2) {
+    if (replay.records[i].type == RecordType::kSpecV2) {
       repo.SetSpecPersist(
           repo.num_specs() - 1,
           MakePersistMeta(record_lsn, replay.records[i].payload, "wal"));
@@ -226,13 +216,6 @@ Result<PersistentRepository> PersistentRepository::Open(
   RecoverySeconds().Observe(recovery_timer.ElapsedMicros() / 1e6);
   RecoveryRecordsTotal().Add(recovery.records_replayed);
 
-  // Recovery succeeded; commit the marker bump before handing out a
-  // handle that could append a binary record to a v1-marked store.
-  if (upgrade_marker) {
-    PAW_RETURN_NOT_OK(AtomicWriteFile(MarkerPath(dir), kMarkerV2));
-    format_version = 2;
-  }
-
   PersistentRepository store(dir, std::move(wal), std::move(options));
   store.lock_ = std::move(lock);
   store.repo_ = std::move(repo);
@@ -240,7 +223,6 @@ Result<PersistentRepository> PersistentRepository::Open(
                                    std::memory_order_release);
   store.state_->installed_seq.store(replay.first_seq,
                                     std::memory_order_release);
-  store.format_version_ = format_version;
   store.recovery_ = std::move(recovery);
   return store;
 }
@@ -251,59 +233,19 @@ Result<int> PersistentRepository::AddSpecification(Specification spec,
   // replay with errors.
   PAW_RETURN_NOT_OK(ValidateSpecification(spec));
   PAW_RETURN_NOT_OK(ValidatePolicy(spec, policy));
-  const bool binary = options_.codec == PayloadCodec::kBinary;
-  const std::string payload = binary ? EncodeSpecPayloadV2(spec, policy)
-                                     : EncodeSpecPayload(spec, policy);
+  const std::string payload = EncodeSpecPayloadV2(spec, policy);
   // Round-trip verify: validation does not constrain everything the
   // payload format does, so prove the payload replays to the same
-  // bytes before it can reach the log. For the *text* codec that
-  // catches e.g. module codes with whitespace (serialize unquoted,
-  // fail to reparse); one ambiguity there is a byte-stable *semantic*
-  // change the comparison cannot see — ';' is the list separator in
-  // labels=/keywords=, so "age;zip" replays as two labels yet
-  // re-serializes identically — and needs its own check. The binary
-  // codec carries raw bytes, so only the generic round trip applies.
+  // bytes before it can reach the log.
   if (options_.verify_payloads) {
-    if (!binary) {
-      for (const Workflow& w : spec.workflows()) {
-        for (const DataflowEdge& e : w.edges) {
-          for (const std::string& label : e.labels) {
-            if (label.find(';') != std::string::npos) {
-              return Status::InvalidArgument(
-                  "edge label contains the list separator ';': " + label);
-            }
-          }
-        }
-      }
-      for (const Module& m : spec.modules()) {
-        for (const std::string& keyword : m.keywords) {
-          if (keyword.find(';') != std::string::npos) {
-            return Status::InvalidArgument(
-                "module keyword contains the list separator ';': " +
-                keyword);
-          }
-        }
-      }
-    }
-    auto decoded =
-        binary ? DecodeSpecPayloadV2(payload) : DecodeSpecPayload(payload);
-    PAW_RETURN_NOT_OK(decoded.status());
-    const std::string reencoded =
-        binary ? EncodeSpecPayloadV2(decoded.value().spec,
-                                     decoded.value().policy)
-               : EncodeSpecPayload(decoded.value().spec,
-                                   decoded.value().policy);
-    if (reencoded != payload) {
+    PAW_ASSIGN_OR_RETURN(DecodedSpec decoded, DecodeSpecPayloadV2(payload));
+    if (EncodeSpecPayloadV2(decoded.spec, decoded.policy) != payload) {
       return Status::InvalidArgument(
-          std::string("specification does not survive the ") +
-          std::string(PayloadCodecName(options_.codec)) +
-          " format round-trip");
+          "specification does not survive the binary format round-trip");
     }
   }
-  PAW_ASSIGN_OR_RETURN(
-      const uint64_t record_lsn,
-      wal_.Append(binary ? RecordType::kSpecV2 : RecordType::kSpec,
-                  payload));
+  PAW_ASSIGN_OR_RETURN(const uint64_t record_lsn,
+                       wal_.Append(RecordType::kSpecV2, payload));
   auto id = repo_.AddSpecification(std::move(spec), std::move(policy));
   if (!id.ok()) {
     return Status::Internal("logged spec failed to apply: " +
@@ -324,37 +266,19 @@ Result<ExecutionId> PersistentRepository::AddExecution(int spec_id,
     return Status::InvalidArgument(
         "execution does not belong to the given specification");
   }
-  const bool binary = options_.codec == PayloadCodec::kBinary;
-  const std::string payload = binary
-                                  ? EncodeExecutionPayloadV2(spec_id, exec)
-                                  : EncodeExecutionPayload(spec_id, exec);
-  // Round-trip verify (see AddSpecification): e.g. an item value
-  // holding a raw newline would break the line-oriented text payload.
+  const std::string payload = EncodeExecutionPayloadV2(spec_id, exec);
+  // Round-trip verify (see AddSpecification).
   if (options_.verify_payloads) {
-    if (binary) {
-      auto replayed =
-          DecodeExecutionPayloadV2(payload, repo_.entry(spec_id).spec);
-      PAW_RETURN_NOT_OK(replayed.status());
-      if (EncodeExecutionPayloadV2(spec_id, replayed.value()) != payload) {
-        return Status::InvalidArgument(
-            "execution does not survive the binary format round-trip");
-      }
-    } else {
-      PAW_ASSIGN_OR_RETURN(DecodedExecutionText decoded,
-                           DecodeExecutionPayload(payload));
-      auto replayed =
-          ParseExecution(decoded.exec_text, repo_.entry(spec_id).spec);
-      PAW_RETURN_NOT_OK(replayed.status());
-      if (SerializeExecution(replayed.value()) != decoded.exec_text) {
-        return Status::InvalidArgument(
-            "execution does not survive the text format round-trip");
-      }
+    auto replayed =
+        DecodeExecutionPayloadV2(payload, repo_.entry(spec_id).spec);
+    PAW_RETURN_NOT_OK(replayed.status());
+    if (EncodeExecutionPayloadV2(spec_id, replayed.value()) != payload) {
+      return Status::InvalidArgument(
+          "execution does not survive the binary format round-trip");
     }
   }
-  PAW_ASSIGN_OR_RETURN(
-      const uint64_t record_lsn,
-      wal_.Append(binary ? RecordType::kExecutionV2 : RecordType::kExecution,
-                  payload));
+  PAW_ASSIGN_OR_RETURN(const uint64_t record_lsn,
+                       wal_.Append(RecordType::kExecutionV2, payload));
   auto id = repo_.AddExecution(spec_id, std::move(exec));
   if (!id.ok()) {
     return Status::Internal("logged execution failed to apply: " +
@@ -370,8 +294,7 @@ Result<uint64_t> PersistentRepository::ApplyReplicated(
     RecordType type, std::string_view payload) {
   // Only data records travel the replication stream; headers are
   // per-segment framing each side generates for itself.
-  if (type != RecordType::kSpec && type != RecordType::kSpecV2 &&
-      type != RecordType::kExecution && type != RecordType::kExecutionV2) {
+  if (type != RecordType::kSpecV2 && type != RecordType::kExecutionV2) {
     return Status::InvalidArgument(
         "replicated record has non-data type " +
         std::to_string(static_cast<int>(type)));
@@ -390,7 +313,7 @@ Result<uint64_t> PersistentRepository::ApplyReplicated(
     return Status::Internal("replicated record failed to apply: " +
                             applied.message());
   }
-  if (type == RecordType::kSpec || type == RecordType::kSpecV2) {
+  if (type == RecordType::kSpecV2) {
     repo_.SetSpecPersist(repo_.num_specs() - 1,
                          MakePersistMeta(record_lsn, payload, "wal"));
   } else {
@@ -410,7 +333,6 @@ PersistentRepository::PrepareCompaction() {
   PAW_ASSIGN_OR_RETURN(WalRotation rotation, wal_.Rotate());
   CompactJob job;
   job.dir = dir_;
-  job.codec = options_.codec;
   // Pin the covered prefix: entry pointers are stable and entries
   // immutable once inserted, so this view stays consistent while the
   // writer keeps appending behind it.
@@ -445,10 +367,7 @@ Status PersistentRepository::ExecuteCompactionJob(const CompactJob& job,
   int64_t phase_start = TraceNowMicros();
   if (job.hook) job.hook(CompactionPhase::kSnapshot);
   Timer phase_timer;
-  // Snapshot records are re-encoded with the configured codec, so
-  // compacting is also how a v1 store's records upgrade to binary.
-  PAW_RETURN_NOT_OK(
-      WriteSnapshot(job.dir, job.view, job.covered, job.codec).status());
+  PAW_RETURN_NOT_OK(WriteSnapshot(job.dir, job.view, job.covered).status());
   CompactionPhaseSeconds(CompactionPhase::kSnapshot)
       .Observe(phase_timer.ElapsedMicros() / 1e6);
   phase_span("compact.snapshot", phase_start);

@@ -8,9 +8,7 @@
 /// snapshot + write-ahead-log design. A store directory holds:
 ///
 /// \code
-///   <dir>/PAWSTORE                  format marker ("pawstore 2"; v1
-///                                   stores carry "pawstore 1" and are
-///                                   upgraded on first binary-codec open)
+///   <dir>/PAWSTORE                  format marker ("pawstore 2")
 ///   <dir>/PAWWAL                    WAL segment manifest (wal.h)
 ///   <dir>/wal-<seq>.log             WAL segments; highest seq is active
 ///   <dir>/snapshot-<lsn>.paws       latest full snapshot (snapshot.h)
@@ -84,15 +82,9 @@ struct StoreOptions {
   /// or in the background with `background_compaction`).
   uint64_t snapshot_every = 0;
   /// Decode-verify every payload before it reaches the WAL, proving
-  /// the record will replay (for the text codec this catches values
-  /// the line-oriented format cannot carry, e.g. raw newlines). Costs
-  /// one decode per append; disable only for ingest paths whose
-  /// inputs are already known to round-trip.
+  /// the record will replay. Costs one decode per append; disable only
+  /// for ingest paths whose inputs are already known to round-trip.
   bool verify_payloads = true;
-  /// Payload format for new records and snapshot rewrites. Opening a
-  /// v1 (text-format) store with the binary codec upgrades the store's
-  /// format marker to v2; both payload versions remain readable.
-  PayloadCodec codec = PayloadCodec::kBinary;
   /// Used by `ShardedRepository` only: size of the writer pool that
   /// drains per-shard append queues (0 = synchronous appends on the
   /// caller thread, no pool).
@@ -226,10 +218,6 @@ class PersistentRepository {
   /// \brief How the last `Open` rebuilt state (zeros after `Init`).
   const RecoveryInfo& recovery() const { return recovery_; }
 
-  /// \brief On-disk format version from the `PAWSTORE` marker: 1 means
-  /// every record is a v1 text payload, 2 means records may be binary.
-  int format_version() const { return format_version_; }
-
   const std::string& dir() const { return dir_; }
 
  private:
@@ -244,7 +232,6 @@ class PersistentRepository {
   /// store object) so the worker is immune to the store moving.
   struct CompactJob {
     std::string dir;
-    PayloadCodec codec = PayloadCodec::kBinary;
     RepositoryView view;
     /// LSN the snapshot will cover (== end of the sealed segments).
     uint64_t covered = 0;
@@ -281,7 +268,6 @@ class PersistentRepository {
   Repository repo_;
   WriteAheadLog wal_;
   Options options_;
-  int format_version_ = 2;
   RecoveryInfo recovery_;
   std::shared_ptr<CompactState> state_;  // last: destroyed (joined) first
 };

@@ -8,10 +8,6 @@ std::string_view RecordTypeName(RecordType type) {
   switch (type) {
     case RecordType::kWalHeader:
       return "wal-header";
-    case RecordType::kSpec:
-      return "spec";
-    case RecordType::kExecution:
-      return "execution";
     case RecordType::kSnapshotHeader:
       return "snapshot-header";
     case RecordType::kSpecV2:

@@ -32,24 +32,29 @@ namespace paw {
 enum class RecordType : uint8_t {
   /// WAL file header: payload = fixed64 base LSN.
   kWalHeader = 1,
-  /// A specification + its policy, v1 *text* payload (see codec.h).
-  kSpec = 2,
-  /// An execution of a stored spec, v1 *text* payload (see codec.h).
-  kExecution = 3,
+  // Types 2 and 3 held v1 text payloads; they are retired and refused
+  // on replay (see `IsRetiredTextRecord`).
   /// Snapshot file header: payload = fixed64 covered LSN.
   kSnapshotHeader = 4,
-  /// A specification + its policy, v2 *binary* payload (see codec.h).
+  /// A specification + its policy, binary payload (see codec.h).
   kSpecV2 = 5,
-  /// An execution of a stored spec, v2 *binary* payload (see codec.h).
+  /// An execution of a stored spec, binary payload (see codec.h).
   kExecutionV2 = 6,
 };
+
+/// \brief True for the retired v1 text record types (2 = spec,
+/// 3 = execution), which this build refuses to replay.
+inline bool IsRetiredTextRecord(RecordType type) {
+  const auto raw = static_cast<uint8_t>(type);
+  return raw == 2 || raw == 3;
+}
 
 /// \brief Short name of a record type ("spec", "execution", ...).
 std::string_view RecordTypeName(RecordType type);
 
 /// \brief A decoded record.
 struct Record {
-  RecordType type = RecordType::kSpec;
+  RecordType type = RecordType::kSpecV2;
   std::string payload;
 };
 
@@ -74,7 +79,7 @@ bool GetFixed64(std::string_view buf, size_t* offset, uint64_t* v);
 bool GetBytes(std::string_view buf, size_t* offset, size_t len,
               std::string_view* v);
 
-// LEB128 varints, used inside v2 binary payloads. `Get*` fail on
+// LEB128 varints, used inside binary payloads. `Get*` fail on
 // overrun and on encodings wider than the target type.
 void PutVarint32(std::string* out, uint32_t v);
 void PutVarint64(std::string* out, uint64_t v);
@@ -98,7 +103,7 @@ inline int64_t UnZigZag64(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// \brief Appends a varint length + raw bytes (the v2 string framing).
+/// \brief Appends a varint length + raw bytes (the payload string framing).
 void PutLengthPrefixed(std::string* out, std::string_view s);
 /// \brief Reads a length-prefixed string at `*offset`; false on
 /// overrun or implausible length.

@@ -144,7 +144,8 @@ Result<ShardedRepository> ShardedRepository::Init(const std::string& dir,
   }
   if (PathExists(dir + "/PAWSTORE")) {
     return Status::AlreadyExists(
-        dir + " already contains a single-directory paw store");
+        dir + " already holds a bare shard engine (PAWSTORE); a store "
+        "root holds PAWSHARDS plus shard-NNNN directories");
   }
   // Claim the root before writing anything (Open does the same, so two
   // processes cannot race an Init against an Open).

@@ -234,8 +234,7 @@ class StoreFuture {
 };
 
 /// \brief Wraps an already-known result as a resolved `StoreFuture`
-/// (the inline append path, early-error paths, and callers — like the
-/// server's single-directory store — that complete synchronously).
+/// (the inline append path and early-error paths).
 template <typename T>
 StoreFuture<T> MakeReadyFuture(Result<T> result) {
   auto* op = new store_detail::ReadyOp<T>();

@@ -39,9 +39,8 @@ std::string SnapshotFileName(uint64_t lsn) {
 }
 
 Result<SnapshotInfo> WriteSnapshot(const std::string& dir,
-                                   const Repository& repo, uint64_t lsn,
-                                   PayloadCodec codec) {
-  return WriteSnapshot(dir, repo.View(), lsn, codec);
+                                   const Repository& repo, uint64_t lsn) {
+  return WriteSnapshot(dir, repo.View(), lsn);
 }
 
 namespace {
@@ -71,9 +70,7 @@ Status StreamRecord(AppendOnlyFile* file, RecordType type,
 }  // namespace
 
 Result<SnapshotInfo> WriteSnapshot(const std::string& dir,
-                                   const RepositoryView& view, uint64_t lsn,
-                                   PayloadCodec codec) {
-  const bool binary = codec == PayloadCodec::kBinary;
+                                   const RepositoryView& view, uint64_t lsn) {
   SnapshotInfo info;
   info.lsn = lsn;
   info.path = dir + "/" + SnapshotFileName(lsn);
@@ -97,19 +94,15 @@ Result<SnapshotInfo> WriteSnapshot(const std::string& dir,
                              std::move(header_payload), &scratch, &buffered);
     for (const SpecEntry* entry : view.specs) {
       if (!st.ok()) break;
-      st = StreamRecord(
-          &file, binary ? RecordType::kSpecV2 : RecordType::kSpec,
-          binary ? EncodeSpecPayloadV2(entry->spec, entry->policy)
-                 : EncodeSpecPayload(entry->spec, entry->policy),
-          &scratch, &buffered);
+      st = StreamRecord(&file, RecordType::kSpecV2,
+                        EncodeSpecPayloadV2(entry->spec, entry->policy),
+                        &scratch, &buffered);
     }
     for (const ExecutionEntry* entry : view.execs) {
       if (!st.ok()) break;
-      st = StreamRecord(
-          &file, binary ? RecordType::kExecutionV2 : RecordType::kExecution,
-          binary ? EncodeExecutionPayloadV2(entry->spec_id, entry->exec)
-                 : EncodeExecutionPayload(entry->spec_id, entry->exec),
-          &scratch, &buffered);
+      st = StreamRecord(&file, RecordType::kExecutionV2,
+                        EncodeExecutionPayloadV2(entry->spec_id, entry->exec),
+                        &scratch, &buffered);
     }
     if (st.ok()) st = file.Sync();
     if (!st.ok()) {
@@ -165,11 +158,9 @@ Result<uint64_t> LoadSnapshot(const std::string& path, Repository* repo) {
     // does not retain per-record append LSNs, so entries carry the
     // covering snapshot's LSN (an upper bound of the original one).
     PersistMeta meta = MakePersistMeta(lsn, record.payload, "snapshot");
-    if (record.type == RecordType::kSpec ||
-        record.type == RecordType::kSpecV2) {
+    if (record.type == RecordType::kSpecV2) {
       repo->SetSpecPersist(repo->num_specs() - 1, std::move(meta));
-    } else if (record.type == RecordType::kExecution ||
-               record.type == RecordType::kExecutionV2) {
+    } else if (record.type == RecordType::kExecutionV2) {
       repo->SetExecutionPersist(
           ExecutionId(repo->num_executions() - 1), std::move(meta));
     }

@@ -8,8 +8,8 @@
 /// `snapshot-<lsn>.paws`, where `<lsn>` — zero-padded to 20 digits so
 /// lexicographic and numeric order agree — is the LSN of the last WAL
 /// record folded in. The stream is a `kSnapshotHeader` (payload:
-/// fixed64 covered LSN) followed by every `kSpec` record in id order,
-/// then every `kExecution` record in id order, re-encoded through the
+/// fixed64 covered LSN) followed by every `kSpecV2` record in id order,
+/// then every `kExecutionV2` record in id order, re-encoded through the
 /// same codec the WAL uses.
 ///
 /// Snapshots are written to a temp file and renamed into place, so a
@@ -37,20 +37,16 @@ struct SnapshotInfo {
 std::string SnapshotFileName(uint64_t lsn);
 
 /// \brief Writes a snapshot of `repo` covering `lsn` into `dir`
-/// (atomically), re-encoding every record with `codec`. Returns the
-/// new snapshot's info. Compacting with the default binary codec is
-/// how a v1 store's records get upgraded to v2 payloads.
+/// (atomically) and returns the new snapshot's info.
 Result<SnapshotInfo> WriteSnapshot(const std::string& dir,
-                                   const Repository& repo, uint64_t lsn,
-                                   PayloadCodec codec = PayloadCodec::kBinary);
+                                   const Repository& repo, uint64_t lsn);
 
 /// \brief Same, over a pinned `RepositoryView` — the background
 /// compaction path: the view freezes the covered prefix, so the
 /// snapshot is consistent even while a writer thread keeps appending
 /// to the live repository behind it.
 Result<SnapshotInfo> WriteSnapshot(const std::string& dir,
-                                   const RepositoryView& view, uint64_t lsn,
-                                   PayloadCodec codec = PayloadCodec::kBinary);
+                                   const RepositoryView& view, uint64_t lsn);
 
 /// \brief Highest-LSN snapshot under `dir`; NotFound when none exists.
 Result<SnapshotInfo> FindLatestSnapshot(const std::string& dir);

@@ -67,8 +67,6 @@ constexpr std::string_view kRetainFloorMagic = "pawrepl 1";
 constexpr std::string_view kSegmentPrefix = "wal-";
 constexpr std::string_view kSegmentSuffix = ".log";
 constexpr size_t kSegmentSeqDigits = 8;
-/// Pre-segmentation layout: one `wal.log`, upgraded in place on Open.
-constexpr std::string_view kLegacyName = "wal.log";
 
 std::string ManifestPath(const std::string& dir) {
   return dir + "/" + std::string(kManifestName);
@@ -246,7 +244,7 @@ Result<WriteAheadLog> WriteAheadLog::Create(const std::string& dir,
                                             Options options) {
   PAW_ASSIGN_OR_RETURN(std::vector<WalSegmentFile> existing,
                        ListWalSegments(dir));
-  if (!existing.empty() || PathExists(dir + "/" + std::string(kLegacyName))) {
+  if (!existing.empty()) {
     return Status::AlreadyExists(dir + " already contains a WAL");
   }
   // Segment before manifest: Open reconstructs a missing manifest from
@@ -265,19 +263,6 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& dir,
 
   PAW_ASSIGN_OR_RETURN(std::vector<WalSegmentFile> segments,
                        ListWalSegments(dir));
-  const std::string legacy_path = dir + "/" + std::string(kLegacyName);
-  if (PathExists(legacy_path)) {
-    if (!segments.empty()) {
-      // Only external interference can produce this mix (the upgrade
-      // rename is atomic); picking either side could drop records.
-      return Status::FailedPrecondition(
-          dir + " holds both a legacy wal.log and WAL segments");
-    }
-    PAW_RETURN_NOT_OK(
-        RenameFile(legacy_path, dir + "/" + WalSegmentFileName(1)));
-    segments.push_back({1, dir + "/" + WalSegmentFileName(1)});
-    replay->legacy_upgraded = true;
-  }
   if (segments.empty()) {
     return Status::NotFound("no WAL in " + dir);
   }
@@ -287,7 +272,7 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& dir,
   if (manifest.ok()) {
     first = manifest.value();
   } else if (manifest.status().IsNotFound()) {
-    // Crash window of Create / legacy upgrade: reconstruct and heal.
+    // Crash window of Create: reconstruct and heal.
     first = segments.front().seq;
     PAW_RETURN_NOT_OK(WriteWalManifest(dir, first));
   } else {

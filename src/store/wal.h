@@ -35,7 +35,7 @@
 /// leaves a recoverable store.
 ///
 /// **Recovery.** `Open` reads the manifest (reconstructing it from the
-/// segment files when absent — the crash window of a legacy upgrade),
+/// segment files when absent — the crash window of `Create`),
 /// reclaims stale segments below `first`, requires seqs `first..max` to
 /// be contiguous, verifies the base-LSN chain, and replays all segments
 /// in order. A torn tail in the active segment is the signature of a
@@ -44,9 +44,6 @@
 /// fsync); recovery then keeps the clean prefix — the tail is truncated,
 /// every later segment is dropped, and the repaired segment becomes
 /// active — never resurrecting records past the damage.
-///
-/// A legacy single-file `wal.log` (pre-segmentation layout) is upgraded
-/// in place on `Open` by renaming it to `wal-00000001.log`.
 ///
 /// **Group commit.** `Append` and `Sync` are thread-safe. Concurrent
 /// appenders stage frames into a shared buffer under a mutex; one
@@ -137,8 +134,6 @@ struct WalReplay {
   /// retention floor (`PAWREPL`) still pins them for a replication
   /// subscriber. They are not replayed — the snapshot covers them.
   int retained_segments = 0;
-  /// True when a legacy single-file `wal.log` was upgraded in place.
-  bool legacy_upgraded = false;
 };
 
 /// \brief Knobs of the write-ahead log.

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/file_io.h"
 #include "src/provenance/executor.h"
 #include "src/provenance/serialize.h"
 #include "src/store/persistent_repository.h"
@@ -199,11 +198,9 @@ TEST(BackgroundCompactionTest, CompactAsyncWhileRunningIsANoOp) {
   ASSERT_TRUE(store.value().WaitForCompaction().ok());
 }
 
-void RunRepeatedCompactAsyncStress(PayloadCodec codec,
-                                   const std::string& name) {
-  const std::string dir = TestDir(name);
+TEST(BackgroundCompactionTest, RepeatedCompactAsyncStress) {
+  const std::string dir = TestDir("stress");
   StoreOptions options;
-  options.codec = codec;
   auto store = PersistentRepository::Init(dir, options);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store.value().AddSpecification(NamedSpec("stress")).ok());
@@ -215,7 +212,9 @@ void RunRepeatedCompactAsyncStress(PayloadCodec codec,
                     .ok());
     // Keep cutting mid-stream; most calls overlap a running worker and
     // are no-ops — exactly the production cadence.
-    if (i % 13 == 0) ASSERT_TRUE(store.value().CompactAsync().ok());
+    if (i % 13 == 0) {
+      ASSERT_TRUE(store.value().CompactAsync().ok());
+    }
   }
   ASSERT_TRUE(store.value().WaitForCompaction().ok());
   ASSERT_TRUE(store.value().Compact().ok());  // final fold, everything covered
@@ -231,14 +230,6 @@ void RunRepeatedCompactAsyncStress(PayloadCodec codec,
   EXPECT_EQ(Dump(reopened.value().repo()), expected);
   EXPECT_EQ(reopened.value().lsn(), static_cast<uint64_t>(kRecords) + 1);
   EXPECT_EQ(reopened.value().recovery().records_replayed, 0u);
-}
-
-TEST(BackgroundCompactionTest, RepeatedCompactAsyncStressBinaryCodec) {
-  RunRepeatedCompactAsyncStress(PayloadCodec::kBinary, "stress_bin");
-}
-
-TEST(BackgroundCompactionTest, RepeatedCompactAsyncStressTextCodec) {
-  RunRepeatedCompactAsyncStress(PayloadCodec::kText, "stress_text");
 }
 
 TEST(BackgroundCompactionTest, SegmentBytesAutoTriggerFoldsInBackground) {
@@ -292,35 +283,6 @@ TEST(BackgroundCompactionTest, SnapshotEveryAutoTriggerRunsInBackground) {
   auto reopened = PersistentRepository::Open(dir, options);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(Dump(reopened.value().repo()), expected);
-}
-
-TEST(BackgroundCompactionTest, LegacySingleFileStoreOpensAndCompacts) {
-  // A store laid out the pre-segmentation way (one wal.log, no PAWWAL)
-  // must open, report its records, and compact under the new code.
-  const std::string dir = TestDir("legacy_store");
-  std::vector<std::string> expected;
-  {
-    auto store = PersistentRepository::Init(dir, {});
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.value().AddSpecification(NamedSpec("legacy")).ok());
-    const Specification& spec = store.value().repo().entry(0).spec;
-    ASSERT_TRUE(store.value().AddExecution(0, MakeExec(spec, "v")).ok());
-    ASSERT_TRUE(store.value().Sync().ok());
-    expected = Dump(store.value().repo());
-  }
-  ASSERT_TRUE(RenameFile(dir + "/" + WalSegmentFileName(1),
-                         dir + "/wal.log").ok());
-  ASSERT_TRUE(RemoveFileIfExists(dir + "/PAWWAL").ok());
-
-  auto reopened = PersistentRepository::Open(dir, {});
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(Dump(reopened.value().repo()), expected);
-  EXPECT_EQ(reopened.value().recovery().wal_segments, 1);
-  ASSERT_TRUE(reopened.value().Compact().ok());
-  CloseStore(&reopened);
-  auto again = PersistentRepository::Open(dir, {});
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(Dump(again.value().repo()), expected);
 }
 
 // ---------------------------------------------------------------------------

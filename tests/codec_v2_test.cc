@@ -1,8 +1,8 @@
-// Tests for the v2 binary payload codec: varint primitives, exact
-// round trips for fuzzed specs / policies / executions, hostile string
-// content the text format cannot carry, payload-truncation sweeps
+// Tests for the binary payload codec: varint primitives, exact round
+// trips for fuzzed specs / policies / executions, hostile string
+// content (raw newlines, semicolons, NULs), payload-truncation sweeps
 // (every prefix must fail cleanly, never crash or fabricate state),
-// and ApplyRecord over v2 records.
+// and ApplyRecord, including its refusal of retired v1 text records.
 
 #include "src/store/codec.h"
 
@@ -140,7 +140,7 @@ TEST(CodecV2Test, ExecutionPayloadsRoundTripExactly) {
     const std::string payload =
         EncodeExecutionPayloadV2(spec_id, exec.value());
     auto spec_id_peek =
-        DecodeExecutionSpecId(RecordType::kExecutionV2, payload);
+        DecodeExecutionSpecId(payload);
     ASSERT_TRUE(spec_id_peek.ok());
     EXPECT_EQ(spec_id_peek.value(), spec_id);
     auto replayed = DecodeExecutionPayloadV2(payload, spec.value());
@@ -152,20 +152,6 @@ TEST(CodecV2Test, ExecutionPayloadsRoundTripExactly) {
               SerializeExecution(exec.value()))
         << "trial=" << trial;
   }
-}
-
-/// Binary payloads should also be *smaller* than their text
-/// equivalents — that is half of why replay is faster.
-TEST(CodecV2Test, BinaryPayloadsAreSmallerThanText) {
-  Rng rng(99);
-  auto spec = GenerateSpec(WorkloadParams{}, &rng, "sizecheck");
-  ASSERT_TRUE(spec.ok());
-  EXPECT_LT(EncodeSpecPayloadV2(spec.value(), {}).size(),
-            EncodeSpecPayload(spec.value(), {}).size());
-  auto exec = GenerateExecution(spec.value(), &rng);
-  ASSERT_TRUE(exec.ok());
-  EXPECT_LT(EncodeExecutionPayloadV2(0, exec.value()).size(),
-            EncodeExecutionPayload(0, exec.value()).size());
 }
 
 // Robustness: every strict prefix of a valid payload fails with a
@@ -248,6 +234,21 @@ TEST(CodecV2Test, ApplyRecordReplaysV2Records) {
   // rejected, as is one referencing an overflowing id.
   record.payload = EncodeExecutionPayloadV2(7, exec.value());
   EXPECT_FALSE(ApplyRecord(record, &repo).ok());
+}
+
+// Types 2 and 3 carried v1 text payloads. Meeting one on replay is a
+// clear FailedPrecondition, never an attempt to decode it as binary.
+TEST(CodecV2Test, ApplyRecordRefusesRetiredTextRecords) {
+  Repository repo;
+  for (uint8_t type : {uint8_t{2}, uint8_t{3}}) {
+    Record record;
+    record.type = static_cast<RecordType>(type);
+    record.payload = "name demo\n";
+    const Status status = ApplyRecord(record, &repo);
+    EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+    EXPECT_NE(status.message().find("v1 text record"), std::string::npos);
+  }
+  EXPECT_EQ(repo.num_specs(), 0);
 }
 
 }  // namespace

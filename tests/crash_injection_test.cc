@@ -17,7 +17,8 @@
 // phase boundary while the harness copies the whole store directory —
 // a faithful crash image of that kill point — and every image must
 // recover *all* records that were durable when the compaction started
-// (no committed LSN is ever lost), for both codecs and both layouts.
+// (no committed LSN is ever lost), for the single-directory shard
+// engine and for the sharded store built from it.
 //
 // The WAL header frame is written atomically (temp file + rename), so a
 // real crash cannot tear it; cuts and flips inside the header model
@@ -96,14 +97,11 @@ struct SweptStore {
   std::vector<size_t> boundaries;
 };
 
-SweptStore BuildSweptStore(const std::string& name, int executions,
-                           PayloadCodec codec = PayloadCodec::kBinary) {
+SweptStore BuildSweptStore(const std::string& name, int executions) {
   SweptStore out;
   out.dir = TestDir(name);
   {
-    StoreOptions options;
-    options.codec = codec;
-    auto store = PersistentRepository::Init(out.dir, options);
+    auto store = PersistentRepository::Init(out.dir);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     auto sid = store.value().AddSpecification(TinySpec());
     EXPECT_TRUE(sid.ok()) << sid.status().ToString();
@@ -191,10 +189,9 @@ TEST(FaultyFileTest, RestoreTruncateFlipRoundTrip) {
 }
 
 // The tentpole sweep: truncate the WAL at every byte offset, including
-// every record boundary, and recover. Runs against both payload
-// codecs — the torn-tail contract is codec-independent.
-void RunTruncationSweep(PayloadCodec codec, const std::string& name) {
-  SweptStore swept = BuildSweptStore(name, 3, codec);
+// every record boundary, and recover.
+TEST(CrashInjectionTest, TruncationSweepRecoversCleanPrefix) {
+  SweptStore swept = BuildSweptStore("trunc_sweep", 3);
   const size_t header_end = swept.boundaries[0];
   const size_t size = static_cast<size_t>(swept.wal->size());
 
@@ -224,14 +221,6 @@ void RunTruncationSweep(PayloadCodec codec, const std::string& name) {
           << context;
     }
   }
-}
-
-TEST(CrashInjectionTest, TruncationSweepRecoversCleanPrefixBinaryCodec) {
-  RunTruncationSweep(PayloadCodec::kBinary, "trunc_sweep_bin");
-}
-
-TEST(CrashInjectionTest, TruncationSweepRecoversCleanPrefixTextCodec) {
-  RunTruncationSweep(PayloadCodec::kText, "trunc_sweep_text");
 }
 
 // A torn store must not only recover — it must keep working. Spot-check
@@ -270,10 +259,9 @@ TEST(CrashInjectionTest, TornStoreAcceptsAppendsAfterRepair) {
 
 // Flip one bit at every byte offset (cycling through bit positions so
 // all eight are exercised): recovery must never crash and must never
-// deliver a record that differs from what was written. Codec-
-// independent like the truncation sweep.
-void RunBitFlipSweep(PayloadCodec codec, const std::string& name) {
-  SweptStore swept = BuildSweptStore(name, 3, codec);
+// deliver a record that differs from what was written.
+TEST(CrashInjectionTest, BitFlipSweepNeverResurrectsRecords) {
+  SweptStore swept = BuildSweptStore("flip_sweep", 3);
   const size_t header_end = swept.boundaries[0];
   const size_t size = static_cast<size_t>(swept.wal->size());
 
@@ -296,14 +284,6 @@ void RunBitFlipSweep(PayloadCodec codec, const std::string& name) {
     ExpectPrefixOfOriginals(got, swept.originals, context);
     EXPECT_LT(got.size(), swept.originals.size()) << context;
   }
-}
-
-TEST(CrashInjectionTest, BitFlipSweepNeverResurrectsBinaryRecords) {
-  RunBitFlipSweep(PayloadCodec::kBinary, "flip_sweep_bin");
-}
-
-TEST(CrashInjectionTest, BitFlipSweepNeverResurrectsTextRecords) {
-  RunBitFlipSweep(PayloadCodec::kText, "flip_sweep_text");
 }
 
 // The harness composes with snapshots: corrupt WAL bytes behind a
@@ -377,16 +357,14 @@ struct PhaseImageCapture {
   }
 };
 
-void RunCompactionKillPointSweep(PayloadCodec codec,
-                                 const std::string& name) {
-  const std::string dir = TestDir(name);
-  const std::string image_root = TestDir(name + "_images");
+TEST(CompactionKillPointTest, SweepRecoversAllRecords) {
+  const std::string dir = TestDir("kp");
+  const std::string image_root = TestDir("kp_images");
   PhaseImageCapture capture;
   capture.store_dir = dir;
   capture.image_root = image_root;
 
   StoreOptions options;
-  options.codec = codec;
   options.compaction_hook = capture.Hook();
 
   std::vector<std::string> originals;
@@ -459,14 +437,6 @@ void RunCompactionKillPointSweep(PayloadCodec codec,
   }
 }
 
-TEST(CompactionKillPointTest, SweepRecoversAllRecordsBinaryCodec) {
-  RunCompactionKillPointSweep(PayloadCodec::kBinary, "kp_bin");
-}
-
-TEST(CompactionKillPointTest, SweepRecoversAllRecordsTextCodec) {
-  RunCompactionKillPointSweep(PayloadCodec::kText, "kp_text");
-}
-
 /// Serialized per-shard entries of a sharded store, in shard order.
 std::vector<std::vector<std::string>> RecoveredSharded(
     const ShardedRepository& store) {
@@ -477,16 +447,15 @@ std::vector<std::vector<std::string>> RecoveredSharded(
   return out;
 }
 
-void RunShardedKillPointSweep(PayloadCodec codec, const std::string& name) {
+TEST(CompactionKillPointTest, ShardedSweepRecoversAllRecords) {
   constexpr int kShards = 2;
-  const std::string dir = TestDir(name);
-  const std::string image_root = TestDir(name + "_images");
+  const std::string dir = TestDir("kp_sharded");
+  const std::string image_root = TestDir("kp_sharded_images");
   PhaseImageCapture capture;
   capture.store_dir = dir;
   capture.image_root = image_root;
 
   StoreOptions options;
-  options.codec = codec;
   options.compaction_hook = capture.Hook();
 
   std::vector<std::vector<std::string>> originals;
@@ -551,14 +520,6 @@ void RunShardedKillPointSweep(PayloadCodec codec, const std::string& name) {
   }
 }
 
-TEST(CompactionKillPointTest, ShardedSweepRecoversAllRecordsBinaryCodec) {
-  RunShardedKillPointSweep(PayloadCodec::kBinary, "kp_sharded_bin");
-}
-
-TEST(CompactionKillPointTest, ShardedSweepRecoversAllRecordsTextCodec) {
-  RunShardedKillPointSweep(PayloadCodec::kText, "kp_sharded_text");
-}
-
 // ---------------------------------------------------------------------------
 // Multi-segment byte sweeps: damage inside sealed segments.
 // ---------------------------------------------------------------------------
@@ -572,11 +533,9 @@ struct SegmentedStore {
   std::vector<WalSegmentFile> segments;
 };
 
-SegmentedStore BuildSegmentedStore(const std::string& name,
-                                   PayloadCodec codec) {
+SegmentedStore BuildSegmentedStore(const std::string& name) {
   SegmentedStore out;
   out.dir = TestDir(name);
-  out.options.codec = codec;
   out.options.segment_bytes = 150;  // a couple of records per segment
   {
     auto store = PersistentRepository::Init(out.dir, out.options);
@@ -646,9 +605,8 @@ void ClassifySegmentCut(const std::vector<std::string>& pristine,
 // Truncate a *sealed* (non-final) segment at every byte offset: the
 // clean-prefix contract — recover exactly the records before the
 // damage, drop every later segment, never resurrect, keep working.
-void RunSealedSegmentTruncationSweep(PayloadCodec codec,
-                                     const std::string& name) {
-  SegmentedStore swept = BuildSegmentedStore(name, codec);
+TEST(CrashInjectionTest, SealedSegmentTruncationSweep) {
+  SegmentedStore swept = BuildSegmentedStore("sealed");
   // Damage the middle sealed segment.
   const size_t target = swept.segments.size() / 2;
   ASSERT_GT(target, 0u);
@@ -714,19 +672,10 @@ void RunSealedSegmentTruncationSweep(PayloadCodec codec,
   }
 }
 
-TEST(CrashInjectionTest, SealedSegmentTruncationSweepBinaryCodec) {
-  RunSealedSegmentTruncationSweep(PayloadCodec::kBinary, "sealed_bin");
-}
-
-TEST(CrashInjectionTest, SealedSegmentTruncationSweepTextCodec) {
-  RunSealedSegmentTruncationSweep(PayloadCodec::kText, "sealed_text");
-}
-
 // Bit flips inside a sealed segment: CRC catches them; everything from
 // the flipped record on (including later segments) is dropped.
 TEST(CrashInjectionTest, SealedSegmentBitFlipKeepsCleanPrefix) {
-  SegmentedStore swept = BuildSegmentedStore("sealed_flip",
-                                             PayloadCodec::kBinary);
+  SegmentedStore swept = BuildSegmentedStore("sealed_flip");
   const size_t target = swept.segments.size() / 2;
   std::vector<FaultyFile> files;
   std::vector<std::string> pristine;

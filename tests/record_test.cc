@@ -47,17 +47,17 @@ TEST(RecordTest, FixedWidthRoundTrip) {
 
 TEST(RecordTest, RoundTripMultipleRecords) {
   std::string buf;
-  AppendRecord(RecordType::kSpec, "first payload", &buf);
-  AppendRecord(RecordType::kExecution, "", &buf);
-  AppendRecord(RecordType::kSpec, std::string(10000, 'x'), &buf);
+  AppendRecord(RecordType::kSpecV2, "first payload", &buf);
+  AppendRecord(RecordType::kExecutionV2, "", &buf);
+  AppendRecord(RecordType::kSpecV2, std::string(10000, 'x'), &buf);
 
   RecordReader reader(buf);
   Record r;
   ASSERT_EQ(reader.Next(&r), ReadOutcome::kRecord);
-  EXPECT_EQ(r.type, RecordType::kSpec);
+  EXPECT_EQ(r.type, RecordType::kSpecV2);
   EXPECT_EQ(r.payload, "first payload");
   ASSERT_EQ(reader.Next(&r), ReadOutcome::kRecord);
-  EXPECT_EQ(r.type, RecordType::kExecution);
+  EXPECT_EQ(r.type, RecordType::kExecutionV2);
   EXPECT_EQ(r.payload, "");
   ASSERT_EQ(reader.Next(&r), ReadOutcome::kRecord);
   EXPECT_EQ(r.payload.size(), 10000u);
@@ -70,9 +70,9 @@ TEST(RecordTest, RoundTripMultipleRecords) {
 
 TEST(RecordTest, TornTailDetectedAtEveryCut) {
   std::string buf;
-  AppendRecord(RecordType::kSpec, "intact record", &buf);
+  AppendRecord(RecordType::kSpecV2, "intact record", &buf);
   const size_t first = buf.size();
-  AppendRecord(RecordType::kExecution, "the record a crash tears", &buf);
+  AppendRecord(RecordType::kExecutionV2, "the record a crash tears", &buf);
 
   // Any cut strictly inside the second record leaves a torn tail; the
   // valid prefix is exactly the first record.
@@ -89,7 +89,7 @@ TEST(RecordTest, TornTailDetectedAtEveryCut) {
 
 TEST(RecordTest, BitFlipFailsChecksum) {
   std::string buf;
-  AppendRecord(RecordType::kSpec, "payload under test", &buf);
+  AppendRecord(RecordType::kSpecV2, "payload under test", &buf);
   for (size_t i = 0; i < buf.size(); ++i) {
     std::string damaged = buf;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x40);
@@ -108,7 +108,7 @@ TEST(RecordTest, ImplausibleLengthIsTornNotAllocated) {
   std::string buf;
   PutFixed32(&buf, 0xFFFFFFFFu);  // 4 GiB payload claim
   PutFixed32(&buf, 0);
-  buf.push_back(static_cast<char>(RecordType::kSpec));
+  buf.push_back(static_cast<char>(RecordType::kSpecV2));
   buf += "tiny";
   RecordReader reader(buf);
   Record r;
@@ -144,8 +144,8 @@ TEST(RecordFuzzTest, RandomStreamsRoundTrip) {
     const int n = static_cast<int>(rng.UniformInt(1, 40));
     for (int i = 0; i < n; ++i) {
       Record r;
-      r.type = rng.Bernoulli(0.5) ? RecordType::kSpec
-                                  : RecordType::kExecution;
+      r.type = rng.Bernoulli(0.5) ? RecordType::kSpecV2
+                                  : RecordType::kExecutionV2;
       r.payload = RandomPayload(&rng, 2000);
       AppendRecord(r.type, r.payload, &buf);
       written.push_back(std::move(r));
@@ -172,7 +172,7 @@ TEST(RecordFuzzTest, RandomCutsYieldWholeRecordPrefixes) {
   std::string buf;
   std::vector<size_t> boundaries;  // end offset of each record
   for (int i = 0; i < 20; ++i) {
-    AppendRecord(RecordType::kSpec, RandomPayload(&rng, 300), &buf);
+    AppendRecord(RecordType::kSpecV2, RandomPayload(&rng, 300), &buf);
     boundaries.push_back(buf.size());
   }
   for (int trial = 0; trial < 500; ++trial) {

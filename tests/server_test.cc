@@ -32,6 +32,7 @@
 #include "src/server/wire.h"
 #include "src/store/sharded_repository.h"
 #include "src/workflow/serialize.h"
+#include "tests/store_test_util.h"
 
 namespace paw {
 namespace {
@@ -466,10 +467,8 @@ TEST(ServerTest, CompactRequiresAdminLevel) {
   EXPECT_TRUE(root.value().Compact().ok());
 }
 
-TEST(ServerTest, PollBackendServesRequests) {
-  ServerOptions options = TestOptions();
-  options.use_poll = true;
-  Fixture f = Fixture::Create("poll_backend", std::move(options));
+TEST(ServerTest, OneShardStoreServesRequests) {
+  Fixture f = Fixture::Create("one_shard", TestOptions(), /*shards=*/1);
   f.UploadSpec();
   auto client = f.Client("root");
   ASSERT_TRUE(client.ok());
@@ -478,13 +477,15 @@ TEST(ServerTest, PollBackendServesRequests) {
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   auto status = client.value().GetStatus();
   ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().shards, 1);
   EXPECT_EQ(status.value().executions, 1);
 }
 
-TEST(ServerTest, SingleDirectoryStoreIsServable) {
-  const std::string dir = TestDir("single_dir");
+TEST(ServerTest, DefaultInitStoreIsServable) {
+  // `pawctl init <dir>` with no shards= creates this 1-shard store.
+  const std::string dir = TestDir("default_init");
   {
-    auto init = PersistentRepository::Init(dir);
+    auto init = ShardedRepository::Init(dir, 1);
     ASSERT_TRUE(init.ok());
   }
   auto server = PawServer::Start(dir, TestOptions());
@@ -499,6 +500,35 @@ TEST(ServerTest, SingleDirectoryStoreIsServable) {
   auto ack = client.value().AddExecution(
       spec.value().name(), DiseaseExecText(spec.value(), 5));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+}
+
+TEST(ServerTest, StartRefusesBareShardEngineDirUntouched) {
+  // A directory holding a lone PersistentRepository (the per-shard
+  // engine, no PAWSHARDS manifest) is not a servable store.
+  const std::string dir = TestDir("bare_engine");
+  {
+    auto init = PersistentRepository::Init(dir);
+    ASSERT_TRUE(init.ok());
+  }
+  const auto before = DirImage(dir);
+  auto server = PawServer::Start(dir, TestOptions());
+  ASSERT_FALSE(server.ok());
+  EXPECT_TRUE(server.status().IsFailedPrecondition())
+      << server.status().ToString();
+  EXPECT_NE(server.status().message().find("pawctl init"), std::string::npos)
+      << server.status().ToString();
+  EXPECT_EQ(DirImage(dir), before);
+}
+
+TEST(ServerTest, ProtocolV1OnlyHelloIsRefused) {
+  Fixture f = Fixture::Create("v1_hello", TestOptions());
+  PawClientOptions options;
+  options.min_version = 1;
+  options.max_version = 1;
+  auto client = PawClient::Connect("127.0.0.1", f.server->port(), options);
+  ASSERT_FALSE(client.ok());
+  EXPECT_TRUE(client.status().IsFailedPrecondition())
+      << client.status().ToString();
 }
 
 TEST(ServerTest, IdleConnectionsAreClosed) {

@@ -427,39 +427,14 @@ Result<Specification> SemicolonSpec() {
   return std::move(builder).Build();
 }
 
-TEST(StoreTest, SemicolonLabelRejectedByTextCodecWithoutLogging) {
-  // ';' is the list separator inside the text format's labels= and
-  // keywords= fields, so a label containing it would *parse* after
-  // replay — but as two labels. The round-trip verify gate must reject
-  // it up front when the store writes text payloads.
-  auto spec = SemicolonSpec();
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-
-  const std::string dir = TestDir("semicolon");
-  StoreOptions options;
-  options.codec = PayloadCodec::kText;
-  auto store = PersistentRepository::Init(dir, options);
-  ASSERT_TRUE(store.ok());
-  const uint64_t lsn_before = store.value().lsn();
-  auto added = store.value().AddSpecification(std::move(spec).value());
-  EXPECT_FALSE(added.ok());
-  EXPECT_TRUE(added.status().IsInvalidArgument());
-  EXPECT_EQ(store.value().lsn(), lsn_before);
-  // The store stays healthy.
-  CloseStore(&store);
-  auto reopened = PersistentRepository::Open(dir, options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value().repo().num_specs(), 0);
-}
-
-TEST(StoreTest, SemicolonLabelSurvivesRestartUnderBinaryCodec) {
-  // The binary codec carries raw string bytes, so the same label the
-  // text codec must refuse round-trips verbatim.
+TEST(StoreTest, SemicolonLabelSurvivesRestart) {
+  // Payloads carry raw string bytes, so a label holding ';' (the list
+  // separator of the .paw text format) round-trips verbatim.
   auto spec = SemicolonSpec();
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
 
   const std::string dir = TestDir("semicolon_binary");
-  auto store = PersistentRepository::Init(dir);  // binary by default
+  auto store = PersistentRepository::Init(dir);
   ASSERT_TRUE(store.ok());
   auto added = store.value().AddSpecification(std::move(spec).value());
   ASSERT_TRUE(added.ok()) << added.status().ToString();
@@ -476,44 +451,11 @@ TEST(StoreTest, SemicolonLabelSurvivesRestartUnderBinaryCodec) {
             std::vector<std::string>{"age;zip"});
 }
 
-TEST(StoreTest, UnreplayableExecutionRejectedByTextCodecWithoutLogging) {
-  // A raw newline inside an item value breaks the line-oriented text
-  // payload; the decode-verify gate must reject it *before* it
-  // reaches the WAL, leaving the store healthy.
-  const std::string dir = TestDir("unreplayable");
-  StoreOptions options;
-  options.codec = PayloadCodec::kText;
-  auto store = PersistentRepository::Init(dir, options);
-  ASSERT_TRUE(store.ok());
-  auto spec = BuildDiseaseSpec();
-  ASSERT_TRUE(spec.ok());
-  ASSERT_TRUE(
-      store.value().AddSpecification(std::move(spec).value()).ok());
-  ValueMap inputs = DiseaseInputs();
-  inputs["SNPs"] = "line1\nline2";
-  FunctionRegistry fns = BuildDiseaseFunctions();
-  auto exec = Execute(store.value().repo().entry(0).spec, fns, inputs);
-  ASSERT_TRUE(exec.ok());
-  const uint64_t lsn_before = store.value().lsn();
-  EXPECT_FALSE(
-      store.value().AddExecution(0, std::move(exec).value()).ok());
-  EXPECT_EQ(store.value().lsn(), lsn_before);
-  // The store remains fully usable and reopenable.
-  auto good = RunDiseaseExecution(store.value().repo().entry(0).spec);
-  ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(
-      store.value().AddExecution(0, std::move(good).value()).ok());
-  CloseStore(&store);
-  auto reopened = PersistentRepository::Open(dir, options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened.value().repo().num_executions(), 1);
-}
-
-TEST(StoreTest, NewlineValueSurvivesRestartUnderBinaryCodec) {
-  // The same raw-newline value the text codec must refuse is a plain
-  // byte to the binary codec.
+TEST(StoreTest, NewlineValueSurvivesRestart) {
+  // A raw newline inside an item value is a plain byte to the payload
+  // codec.
   const std::string dir = TestDir("newline_binary");
-  auto store = PersistentRepository::Init(dir);  // binary by default
+  auto store = PersistentRepository::Init(dir);
   ASSERT_TRUE(store.ok());
   auto spec = BuildDiseaseSpec();
   ASSERT_TRUE(spec.ok());
@@ -685,78 +627,38 @@ TEST(StoreTest, StaleSnapshotTempFileIsIgnoredAndReclaimed) {
   EXPECT_EQ(latest.value().lsn, 1u);
 }
 
-// Property: seeded-random specs and policies round-trip through the
-// kSpec payload codec byte-for-byte.
-TEST(StoreFuzzTest, SpecPayloadsRoundTripExactly) {
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed);
-    auto spec = GenerateSpec(WorkloadParams{}, &rng,
-                             "fuzz" + std::to_string(seed));
-    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    // A policy referencing real modules, with a hostile label thrown in.
-    PolicySet policy;
-    policy.data.default_level = static_cast<int>(rng.Uniform(3));
-    policy.data.label_level["nasty \"=\\ label"] =
-        static_cast<int>(rng.Uniform(4));
-    for (const Module& m : spec.value().modules()) {
-      if (m.kind != ModuleKind::kAtomic) continue;
-      if (!rng.Bernoulli(0.2)) continue;
-      policy.module_reqs.push_back(
-          {m.code, static_cast<int64_t>(rng.UniformInt(2, 8)),
-           static_cast<int>(rng.Uniform(3))});
-    }
-    const std::string payload = EncodeSpecPayload(spec.value(), policy);
-    auto decoded = DecodeSpecPayload(payload);
-    ASSERT_TRUE(decoded.ok())
-        << "seed=" << seed << ": " << decoded.status().ToString();
-    EXPECT_EQ(EncodeSpecPayload(decoded.value().spec,
-                                decoded.value().policy),
-              payload)
-        << "seed=" << seed;
-    EXPECT_EQ(Serialize(decoded.value().spec), Serialize(spec.value()));
-  }
-}
-
-// Property: seeded-random executions round-trip through the kExecution
-// payload codec byte-for-byte, including quote-edged and empty values.
-TEST(StoreFuzzTest, ExecutionPayloadsRoundTripExactly) {
-  Rng rng(4242);
-  auto spec = GenerateSpec(WorkloadParams{}, &rng, "fuzz-exec");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  for (int trial = 0; trial < 20; ++trial) {
-    auto exec = GenerateExecution(spec.value(), &rng);
-    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-    const int spec_id = static_cast<int>(rng.Uniform(1000));
-    const std::string payload =
-        EncodeExecutionPayload(spec_id, exec.value());
-    auto decoded = DecodeExecutionPayload(payload);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().spec_id, spec_id);
-    auto replayed = ParseExecution(decoded.value().exec_text, spec.value());
-    ASSERT_TRUE(replayed.ok())
-        << "trial=" << trial << ": " << replayed.status().ToString();
-    EXPECT_EQ(EncodeExecutionPayload(spec_id, replayed.value()), payload)
-        << "trial=" << trial;
-  }
-}
-
-// Satellite: the v1 decoder rejects spec ids that overflow int32 (they
-// could only appear via corruption that slipped past the CRC, or a
-// buggy writer).
+// The decoder rejects spec ids that overflow int32 (they could only
+// appear via corruption that slipped past the CRC, or a buggy writer).
 TEST(StoreFuzzTest, ExecutionPayloadSpecIdOverflowRejected) {
   std::string payload;
-  PutFixed32(&payload, 0x80000000u);  // > INT32_MAX
-  payload += "execution spec=\"x\"\n";
-  EXPECT_TRUE(DecodeExecutionPayload(payload).status().IsInvalidArgument());
-  EXPECT_TRUE(DecodeExecutionSpecId(RecordType::kExecution, payload)
-                  .status()
-                  .IsInvalidArgument());
+  PutVarint32(&payload, 0xFFFFFFFFu);  // > INT32_MAX
+  EXPECT_TRUE(DecodeExecutionSpecId(payload).status().IsInvalidArgument());
+}
 
-  std::string binary;
-  PutVarint32(&binary, 0xFFFFFFFFu);  // > INT32_MAX
-  EXPECT_TRUE(DecodeExecutionSpecId(RecordType::kExecutionV2, binary)
-                  .status()
-                  .IsInvalidArgument());
+// A store written by the retired v1 text codec carries "pawstore 1".
+// Opening it is a clear FailedPrecondition that leaves every byte of
+// the directory as it was.
+TEST(StoreTest, OpenRefusesV1MarkerUntouched) {
+  const std::string dir = TestDir("v1_marker");
+  {
+    auto store = PersistentRepository::Init(dir);
+    ASSERT_TRUE(store.ok());
+    auto spec = BuildDiseaseSpec();
+    ASSERT_TRUE(spec.ok());
+    ASSERT_TRUE(
+        store.value().AddSpecification(std::move(spec).value()).ok());
+    ASSERT_TRUE(store.value().Sync().ok());
+  }
+  ASSERT_TRUE(AtomicWriteFile(dir + "/PAWSTORE", "pawstore 1\n").ok());
+  const auto before = DirImage(dir);
+
+  auto opened = PersistentRepository::Open(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("pawstore 2"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_EQ(DirImage(dir), before);
 }
 
 TEST(StoreTest, WalRecordsCarryMonotonicLsns) {

@@ -4,6 +4,11 @@
 /// \file store_test_util.h
 /// \brief Helpers shared by the persistent-store test suites.
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/common/status.h"
@@ -19,6 +24,23 @@ template <typename T>
 void CloseStore(Result<T>* store) {
   T closed = std::move(*store).value();
   (void)closed;
+}
+
+/// \brief Every regular file under `dir` (recursively), keyed by its
+/// path relative to `dir`, with its full contents. Two equal images
+/// mean the directory was left byte-identical.
+inline std::map<std::string, std::string> DirImage(const std::string& dir) {
+  std::map<std::string, std::string> image;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    image[std::filesystem::relative(entry.path(), dir).string()] =
+        bytes.str();
+  }
+  return image;
 }
 
 }  // namespace paw

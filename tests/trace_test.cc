@@ -144,10 +144,11 @@ TEST(TraceRecorderTest, TruncatesLongStringsIntoFixedFields) {
 // Concurrency hammer for the seqlock: racy reads must skip or return
 // intact spans, never torn ones. Every written span satisfies
 // end_us == start_us + 1 and span_id == trace_id ^ kMark; a torn copy
-// breaks one of the invariants.
-TEST(TraceRecorderTest, ConcurrentRecordAndCollectNeverTear) {
+// breaks one of the invariants. Writers may drop spans when they lap
+// each other on a slot, so only the reserved-ticket total is exact.
+void HammerRecorder(size_t slots, int num_writers, uint64_t per_writer) {
   constexpr uint64_t kMark = 0x5a5a5a5a5a5a5a5aULL;
-  TraceRecorder recorder(64);
+  TraceRecorder recorder(slots);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> bad{0};
 
@@ -163,9 +164,9 @@ TEST(TraceRecorderTest, ConcurrentRecordAndCollectNeverTear) {
   });
 
   std::vector<std::thread> writers;
-  for (int w = 0; w < 4; ++w) {
+  for (int w = 0; w < num_writers; ++w) {
     writers.emplace_back([&, w] {
-      for (uint64_t i = 1; i <= 20000; ++i) {
+      for (uint64_t i = 1; i <= per_writer; ++i) {
         const uint64_t id = (static_cast<uint64_t>(w) << 32) | i;
         Span s;
         s.trace_id = id;
@@ -182,8 +183,23 @@ TEST(TraceRecorderTest, ConcurrentRecordAndCollectNeverTear) {
   reader.join();
 
   EXPECT_EQ(bad.load(), 0u);
-  EXPECT_EQ(recorder.recorded_total(), 4u * 20000u);
-  EXPECT_EQ(recorder.Collect().size(), 64u);
+  EXPECT_EQ(recorder.recorded_total(), num_writers * per_writer);
+  const std::vector<Span> final_spans = recorder.Collect();
+  EXPECT_EQ(final_spans.size(), slots);
+  for (const Span& s : final_spans) {
+    EXPECT_EQ(s.end_us, s.start_us + 1);
+    EXPECT_EQ(s.span_id, s.trace_id ^ kMark);
+  }
+}
+
+TEST(TraceRecorderTest, ConcurrentRecordAndCollectNeverTear) {
+  HammerRecorder(/*slots=*/64, /*num_writers=*/4, /*per_writer=*/20000);
+}
+
+// More writers than slots: writers lap each other on every slot all
+// the time, the case where two writers used to both publish one seq.
+TEST(TraceRecorderTest, WritersLappingOnEverySlotNeverTear) {
+  HammerRecorder(/*slots=*/2, /*num_writers=*/8, /*per_writer=*/50000);
 }
 
 TEST(ScopedSpanTest, RecordsUnderTheCurrentContextWhenSampled) {

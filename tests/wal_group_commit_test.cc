@@ -444,33 +444,5 @@ TEST(WalReplicationTest, RetainFloorBlocksReclaimUntilReleased) {
   EXPECT_FALSE(fs::exists(dir + "/" + WalSegmentFileName(1)));
 }
 
-TEST(WalSegmentTest, LegacySingleFileLayoutUpgradesInPlace) {
-  const std::string dir = TestDir("legacy");
-  // Build a segmented log, then dress it up as the old layout: one
-  // `wal.log`, no manifest.
-  auto wal = WriteAheadLog::Create(dir, /*base_lsn=*/7);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "x").ok());
-  ASSERT_TRUE(wal.value().Sync().ok());
-  ASSERT_TRUE(RenameFile(dir + "/" + WalSegmentFileName(1),
-                         dir + "/wal.log").ok());
-  ASSERT_TRUE(RemoveFileIfExists(dir + "/PAWWAL").ok());
-
-  WalReplay replay;
-  auto reopened = WriteAheadLog::Open(dir, &replay);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_TRUE(replay.legacy_upgraded);
-  EXPECT_EQ(replay.base_lsn, 7u);
-  ASSERT_EQ(replay.records.size(), 1u);
-  // The layout is now segmented: manifest + wal-00000001.log.
-  EXPECT_TRUE(fs::exists(dir + "/" + WalSegmentFileName(1)));
-  EXPECT_FALSE(fs::exists(dir + "/wal.log"));
-  ASSERT_TRUE(ReadWalManifest(dir).ok());
-  // And it keeps appending where the legacy file left off.
-  auto lsn = reopened.value().Append(RecordType::kSpecV2, "y");
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_EQ(lsn.value(), 9u);
-}
-
 }  // namespace
 }  // namespace paw

@@ -36,7 +36,7 @@ TEST(WireFrameTest, RoundTripsSimpleFrame) {
   const Frame frame =
       MakeFrame(Opcode::kAddExecution, 42, "hello payload");
   const std::string bytes = Encode(frame);
-  // Default frames are v2 and carry the 16-byte trace trailer.
+  // Every non-HELLO frame carries the 16-byte trace trailer.
   ASSERT_EQ(bytes.size(),
             kFrameHeaderSize + frame.payload.size() + kTraceContextBytes);
 
@@ -69,27 +69,9 @@ TEST(WireFrameTest, TraceTrailerRoundTrips) {
   EXPECT_EQ(decoded.trace.span_id, frame.trace.span_id);
 }
 
-TEST(WireFrameTest, V1FramesCarryNoTrailer) {
-  // A v1 frame (old peer) must be byte-identical to the pre-trailer
-  // format and decode with a null context.
-  Frame frame = MakeFrame(Opcode::kStatus, 3, "xyz");
-  frame.version = 1;
-  frame.trace = TraceContext{123, 456};  // must be ignored on v1
-  const std::string bytes = Encode(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderSize + frame.payload.size());
-  Frame decoded;
-  size_t consumed = 0;
-  std::string error;
-  ASSERT_EQ(ParseFrame(bytes, &decoded, &consumed, &error),
-            ParseResult::kFrame)
-      << error;
-  EXPECT_EQ(decoded.payload, "xyz");
-  EXPECT_EQ(decoded.trace, TraceContext{});
-}
-
 TEST(WireFrameTest, HelloFramesCarryNoTrailer) {
-  // HELLO travels before the version is agreed, so it is exempt even
-  // when stamped v2 — that is what lets negotiation interoperate.
+  // HELLO travels before the version is agreed, so it is exempt —
+  // that is what lets negotiation reject any offered range cleanly.
   Frame frame = MakeFrame(Opcode::kHello, 1, "hello body");
   frame.trace = TraceContext{9, 9};
   const std::string bytes = Encode(frame);
@@ -104,14 +86,13 @@ TEST(WireFrameTest, HelloFramesCarryNoTrailer) {
   EXPECT_EQ(decoded.trace, TraceContext{});
 }
 
-TEST(WireFrameTest, V2FrameTooShortForTrailerIsBad) {
-  // Hand-build a v2 non-HELLO frame whose payload is under 16 bytes:
+TEST(WireFrameTest, FrameTooShortForTrailerIsBad) {
+  // Hand-build a non-HELLO frame whose payload is under 16 bytes:
   // framing-valid (CRC passes) but trailer-invalid.
-  Frame frame = MakeFrame(Opcode::kStatus, 1, "short");
-  frame.version = 1;  // encode without trailer ...
+  Frame frame = MakeFrame(Opcode::kHello, 1, "short");  // no trailer ...
   std::string bytes;
   AppendFrame(frame, &bytes);
-  bytes[12] = 2;  // ... then claim v2 (version byte) and re-CRC
+  bytes[13] = static_cast<char>(Opcode::kStatus);  // ... retag, re-CRC
   std::string covered = bytes.substr(12);
   std::string crc;
   PutFixed32(&crc, Crc32(covered));

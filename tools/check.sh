@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Single CI entry point: tier-1 configure/build/test, a pawctl smoke
-# test of the demo pipeline and both store layouts (single + sharded,
-# including kill-and-reopen crash drills — one against the sharded
-# WAL tail, one against background compaction mid-flight), a pawd
+# test of the demo pipeline and the store (the default 1-shard layout
+# and a 4-shard one, including kill-and-reopen crash drills — one
+# against a shard's WAL tail, one against background compaction
+# mid-flight), a pawd
 # server drill (socket ingest, per-principal query filtering, queries
 # concurrent with a pipelined ingest on the MVCC read path, a
 # METRICS-over-the-wire check, a repeated-lineage check that must hit
@@ -15,7 +16,8 @@
 # with no acked write lost), bench smoke runs (store E10 + server
 # E11/E12/E13/E14, E11 gated <= 5% observability overhead against a
 # PAW_NO_METRICS + PAW_NO_TRACE baseline build, E13 gated >= 3x cached
-# lineage/structural p50),
+# lineage/structural p50; E12's p99 ratio and E14's follower scaling
+# are advisory in --smoke),
 # an ASan+UBSan build of the store/server test binaries, and a TSan
 # build of the concurrency suites (group-commit WAL, writer queues,
 # background compaction, server, replication, metrics registry).
@@ -42,13 +44,18 @@ PAWCTL="$BUILD_DIR/pawctl"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 "$PAWCTL" demo > "$SMOKE_DIR/demo.paw"
+# Default init: a 1-shard store (PAWSHARDS + shard-0000).
 "$PAWCTL" init "$SMOKE_DIR/store"
+test -f "$SMOKE_DIR/store/PAWSHARDS"
+grep -q "pawstore 2" "$SMOKE_DIR/store/shard-0000/PAWSTORE"
 "$PAWCTL" ingest "$SMOKE_DIR/store" "$SMOKE_DIR/demo.paw" runs=10
 "$PAWCTL" compact "$SMOKE_DIR/store"
 "$PAWCTL" ingest "$SMOKE_DIR/store" "$SMOKE_DIR/demo.paw" runs=5
-"$PAWCTL" open "$SMOKE_DIR/store"
+"$PAWCTL" open "$SMOKE_DIR/store" | tee "$SMOKE_DIR/store_open.out"
+grep -q "shards:      1" "$SMOKE_DIR/store_open.out"
+grep -q "executions:  15" "$SMOKE_DIR/store_open.out"
 
-echo "== pawctl sharded smoke =="
+echo "== pawctl 4-shard smoke =="
 "$PAWCTL" init "$SMOKE_DIR/shards" shards=4
 "$PAWCTL" ingest "$SMOKE_DIR/shards" "$SMOKE_DIR/demo.paw" runs=8
 "$PAWCTL" compact "$SMOKE_DIR/shards" threads=4
@@ -77,7 +84,7 @@ kill -9 "$INGEST_PID" 2>/dev/null || true
 wait "$INGEST_PID" 2>/dev/null || true
 "$PAWCTL" status "$SMOKE_DIR/bg"
 "$PAWCTL" open "$SMOKE_DIR/bg" | tee "$SMOKE_DIR/bg_open.out"
-grep -q "segments:" "$SMOKE_DIR/bg_open.out"
+grep -q "WAL segment(s)" "$SMOKE_DIR/bg_open.out"
 "$PAWCTL" ingest "$SMOKE_DIR/bg" "$SMOKE_DIR/demo.paw" runs=5 \
   segbytes=20000 compact=background
 "$PAWCTL" compact "$SMOKE_DIR/bg" mode=background
@@ -300,24 +307,11 @@ wait "$PROMO_PID" 2>/dev/null || true
 "$PAWCTL" open "$SMOKE_DIR/fol" threads=4 | tee "$SMOKE_DIR/promo_open.out"
 grep -q "executions:  245" "$SMOKE_DIR/promo_open.out"
 
-echo "== pawctl migrate smoke =="
-# A v1 (text-payload) store must open under the v2 build and migrate
-# to all-binary payloads in place. (codec=text on ingest keeps the
-# store at v1 — a default-codec open would already upgrade the marker.)
-"$PAWCTL" init "$SMOKE_DIR/v1store" codec=text
-"$PAWCTL" ingest "$SMOKE_DIR/v1store" "$SMOKE_DIR/demo.paw" runs=5 codec=text
-grep -q "pawstore 1" "$SMOKE_DIR/v1store/PAWSTORE"
-"$PAWCTL" migrate "$SMOKE_DIR/v1store"
-grep -q "pawstore 2" "$SMOKE_DIR/v1store/PAWSTORE"
-"$PAWCTL" open "$SMOKE_DIR/v1store" | tee "$SMOKE_DIR/migrate.out"
-grep -q "executions:  5" "$SMOKE_DIR/migrate.out"
-
 echo "== bench smoke (BENCH_store.json) =="
 if [[ -x "$BUILD_DIR/bench_store" ]]; then
   BENCH_BIN="$(pwd)/$BUILD_DIR/bench_store"
   (cd "$SMOKE_DIR" && "$BENCH_BIN" --smoke)
   test -s "$SMOKE_DIR/BENCH_store.json"
-  grep -q '"experiment":"e10e"' "$SMOKE_DIR/BENCH_store.json"
   grep -q '"experiment":"e10f"' "$SMOKE_DIR/BENCH_store.json"
   grep -q '"experiment":"e10g"' "$SMOKE_DIR/BENCH_store.json"
   cp "$SMOKE_DIR/BENCH_store.json" "$BUILD_DIR/BENCH_store.json"
@@ -338,7 +332,8 @@ if [[ -x "$BUILD_DIR/bench_server" ]]; then
   # Acceptance: pipelined >= 3x sync at 8 connections in smoke mode.
   grep -q ">= 3x: yes" "$SMOKE_DIR/bench_server.out"
   # E12 (mixed read/write) ran and its hard acceptance held: query
-  # phases never took the exclusive store lease.
+  # phases never took the exclusive store lease. (The p99-vs-idle ratio
+  # is advisory in --smoke.)
   grep -q '"experiment":"e12"' "$SMOKE_DIR/BENCH_server.json"
   grep -q "^e12 query p99 under ingest:" "$SMOKE_DIR/bench_server.out"
   grep -q "queries never took the writer lease: yes" \
@@ -354,7 +349,7 @@ if [[ -x "$BUILD_DIR/bench_server" ]]; then
   # E14 (follower read capacity) ran: followers caught up, the query
   # population fanned across leader + followers, and the leader's
   # replication-lag histogram recorded the stream. Scaling itself is
-  # advisory (1-core CI shares the core across nodes).
+  # advisory in --smoke (cells too short to gate on a shared host).
   grep -q '"experiment":"e14"' "$SMOKE_DIR/BENCH_server.json"
   grep -q '"phase":"fanned"' "$SMOKE_DIR/BENCH_server.json"
   grep -q "^e14 follower scaling:" "$SMOKE_DIR/bench_server.out"
@@ -422,7 +417,7 @@ ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPAW_SANITIZE=address
 SAN_TESTS=(store_test sharded_store_test crash_injection_test record_test
            thread_pool_test crc32_test codec_v2_test wal_group_commit_test
-           mixed_version_test background_compaction_test wire_test
+           background_compaction_test wire_test
            server_test replication_test store_lock_test metrics_test
            trace_test view_cache_test dp_counters_test)
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS" --target "${SAN_TESTS[@]}"

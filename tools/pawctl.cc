@@ -12,20 +12,18 @@
 //                                        minimal-view keyword search at an
 //                                        access level
 //
-// Persistent store commands (see tools/README.md, "Store format"):
-//   pawctl init <dir> [shards=N] [codec=binary|text]
-//                                        create an empty store directory;
-//                                        with shards=N, a sharded store of
-//                                        N shard subdirectories; codec=text
-//                                        writes v1 text payloads
+// Persistent store commands (see tools/README.md, "Store format"). A
+// store is a PAWSHARDS manifest plus N shard subdirectories, each a
+// "pawstore 2" WAL + snapshot directory:
+//   pawctl init <dir> [shards=N]         create an empty store of N shard
+//                                        subdirectories (default 1)
 //   pawctl open <dir> [threads=N]        recover a store (shards in
 //                                        parallel), print its stats
 //   pawctl status <dir>                  inspect segment/LSN/manifest
 //                                        state from the files alone (no
 //                                        recovery, no epoch bump)
 //   pawctl ingest <dir> <spec.paw> [runs=N] [threads=N] [sync=each|batch]
-//                 [codec=binary|text] [segbytes=N] [every=N]
-//                 [compact=background|inline]
+//                 [segbytes=N] [every=N] [compact=background|inline]
 //                                        add a spec (reused if already
 //                                        stored under the same name) and
 //                                        run N executions into the store;
@@ -43,22 +41,18 @@
 //                                        mode=background takes the cut
 //                                        without blocking appends and
 //                                        waits for the snapshot worker
-//   pawctl migrate <dir> [threads=N]     rewrite a v1 (text) store as v2
-//                                        (binary): bump the format marker,
-//                                        re-encode all records into binary
-//                                        snapshots, truncate the logs
 //
 // Server commands (see tools/README.md, "pawd server"):
 //   pawctl serve <dir> [port=N] [bind=ADDR] [shards=N] [workers=N]
 //                [writers=N] [threads=N] [sync=each|batch]
-//                [auth=name:level[:group],...] [idle=MS] [admin=N] [poll]
+//                [auth=name:level[:group],...] [idle=MS] [admin=N]
 //                [viewcache=on|off] [viewcache-mb=N]
 //                [follow=HOST:PORT] [follow-principal=NAME]
 //                [acks=local|quorum] [quorum-ms=N] [trace-sample=N]
 //                                        serve the store over the binary
 //                                        wire protocol (pawd); creates the
-//                                        store first when <dir> is empty
-//                                        (sharded with shards=N). sync=each
+//                                        store first when <dir> holds none
+//                                        (shards=N, default 1). sync=each
 //                                        (default) makes every acked write
 //                                        durable; auth registers the
 //                                        principals AUTH accepts (default
@@ -111,9 +105,6 @@
 //                                        ADD_EXECUTION (window pipeline=N)
 //   pawctl query <host:port> <term> [term ...] [user=NAME]
 //                                        keyword search as the principal
-//
-// open/status/ingest/compact/migrate auto-detect whether <dir> is a
-// single-directory or a sharded store.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -287,22 +278,6 @@ bool ParseStrOption(const char* arg, const char* key, std::string* out,
   return true;
 }
 
-/// Parses a `codec=binary|text` option into `*codec`.
-bool ParseCodecOption(const char* arg, PayloadCodec* codec, bool* matched) {
-  std::string v;
-  ParseStrOption(arg, "codec", &v, matched);
-  if (!*matched) return true;
-  if (v == "binary") {
-    *codec = PayloadCodec::kBinary;
-  } else if (v == "text") {
-    *codec = PayloadCodec::kText;
-  } else {
-    std::fprintf(stderr, "error: codec must be binary or text: %s\n", arg);
-    return false;
-  }
-  return true;
-}
-
 /// Parses a `key=N` option into `*out`; returns false (with a message)
 /// when `arg` has the key but a value outside `[lo, hi]`. `*matched`
 /// says whether the key was present at all.
@@ -323,37 +298,9 @@ bool ParseIntOption(const char* arg, const char* key, long lo, long hi,
   return true;
 }
 
-void PrintStoreStats(const PersistentRepository& store) {
+void PrintStoreStats(const ShardedRepository& store) {
   const auto& r = store.recovery();
   std::printf("store %s\n", store.dir().c_str());
-  std::printf("  format:      v%d (%s payloads)\n", store.format_version(),
-              store.format_version() >= 2 ? "binary-capable" : "text");
-  std::printf("  specs:       %d\n", store.repo().num_specs());
-  std::printf("  executions:  %d\n", store.repo().num_executions());
-  std::printf("  lsn:         %llu\n",
-              static_cast<unsigned long long>(store.lsn()));
-  std::printf("  wal suffix:  %llu record(s) past snapshot lsn %llu\n",
-              static_cast<unsigned long long>(store.records_since_snapshot()),
-              static_cast<unsigned long long>(r.snapshot_lsn));
-  std::printf("  segments:    %d live (active seq %llu)%s\n",
-              r.wal_segments,
-              static_cast<unsigned long long>(store.wal().active_seq()),
-              r.stale_segments_removed > 0 ? " [stale reclaimed]" : "");
-  std::printf("  approx mem:  %lld bytes\n",
-              static_cast<long long>(store.repo().ApproxBytes()));
-  std::printf("  recovery:    %llu replayed, %llu skipped\n",
-              static_cast<unsigned long long>(r.records_replayed),
-              static_cast<unsigned long long>(r.records_skipped));
-  if (r.torn_tail) {
-    std::printf("  torn tail:   dropped %llu byte(s): %s\n",
-                static_cast<unsigned long long>(r.dropped_bytes),
-                r.tail_error.c_str());
-  }
-}
-
-void PrintShardedStats(const ShardedRepository& store) {
-  const auto& r = store.recovery();
-  std::printf("sharded store %s\n", store.dir().c_str());
   std::printf("  shards:      %d\n", store.num_shards());
   std::printf("  epoch:       %llu\n",
               static_cast<unsigned long long>(store.epoch()));
@@ -369,47 +316,35 @@ void PrintShardedStats(const ShardedRepository& store) {
   }
   for (int i = 0; i < store.num_shards(); ++i) {
     const PersistentRepository& shard = store.shard(i);
-    std::printf("  %s: %d spec(s), %d execution(s), lsn %llu (global %llu)%s\n",
-                ShardedRepository::ShardDirName(i).c_str(),
-                shard.repo().num_specs(), shard.repo().num_executions(),
-                static_cast<unsigned long long>(shard.lsn()),
-                static_cast<unsigned long long>(
-                    ShardedRepository::EpochLsn(store.epoch(), shard.lsn())),
-                shard.recovery().torn_tail ? " [torn tail repaired]" : "");
+    std::printf(
+        "  %s: %d spec(s), %d execution(s), lsn %llu (global %llu), "
+        "%d WAL segment(s)%s\n",
+        ShardedRepository::ShardDirName(i).c_str(), shard.repo().num_specs(),
+        shard.repo().num_executions(),
+        static_cast<unsigned long long>(shard.lsn()),
+        static_cast<unsigned long long>(
+            ShardedRepository::EpochLsn(store.epoch(), shard.lsn())),
+        shard.recovery().wal_segments,
+        shard.recovery().torn_tail ? " [torn tail repaired]" : "");
   }
 }
 
 int CmdInit(const char* dir, int argc, char** argv) {
-  long shards = 0;
-  StoreOptions options;
+  long shards = 1;
   for (int i = 0; i < argc; ++i) {
     bool matched = false;
     if (!ParseIntOption(argv[i], "shards", 1, ShardedRepository::kMaxShards,
                         &shards, &matched)) {
       return 1;
     }
-    if (matched) continue;
-    if (!ParseCodecOption(argv[i], &options.codec, &matched)) return 1;
     if (!matched) {
       std::fprintf(stderr, "error: unknown init option %s\n", argv[i]);
       return 1;
     }
   }
-  const char* codec_name =
-      options.codec == PayloadCodec::kBinary ? "binary" : "text";
-  if (shards > 0) {
-    auto store =
-        ShardedRepository::Init(dir, static_cast<int>(shards), options);
-    if (!store.ok()) return Fail(store.status());
-    std::printf(
-        "initialized empty sharded store in %s (%ld shard(s), %s codec)\n",
-        dir, shards, codec_name);
-    return 0;
-  }
-  auto store = PersistentRepository::Init(dir, options);
+  auto store = ShardedRepository::Init(dir, static_cast<int>(shards));
   if (!store.ok()) return Fail(store.status());
-  std::printf("initialized empty store in %s (%s codec)\n", dir,
-              codec_name);
+  std::printf("initialized empty store in %s (%ld shard(s))\n", dir, shards);
   return 0;
 }
 
@@ -431,13 +366,7 @@ int ParseThreads(int argc, char** argv, long* threads) {
 int CmdOpen(const char* dir, int argc, char** argv) {
   long threads = 1;
   if (int rc = ParseThreads(argc, argv, &threads); rc != 0) return rc;
-  if (ShardedRepository::IsShardedStore(dir)) {
-    auto store = ShardedRepository::Open(dir, {}, static_cast<int>(threads));
-    if (!store.ok()) return Fail(store.status());
-    PrintShardedStats(store.value());
-    return 0;
-  }
-  auto store = PersistentRepository::Open(dir);
+  auto store = ShardedRepository::Open(dir, {}, static_cast<int>(threads));
   if (!store.ok()) return Fail(store.status());
   PrintStoreStats(store.value());
   return 0;
@@ -477,8 +406,7 @@ int PrintDirStatus(const std::string& dir, const char* indent) {
                 static_cast<unsigned long long>(manifest.value()));
   } else {
     std::printf("%smanifest:  %s\n", indent,
-                manifest.status().IsNotFound() ? "missing (legacy layout?)"
-                                               : "corrupt");
+                manifest.status().IsNotFound() ? "missing" : "corrupt");
   }
   auto segments = ListWalSegments(dir);
   if (!segments.ok()) return Fail(segments.status());
@@ -516,11 +444,6 @@ int PrintDirStatus(const std::string& dir, const char* indent) {
               "record(s) past snapshot\n",
               indent, segments.value().size(), total_bytes,
               static_cast<unsigned long long>(total_records));
-  if (segments.value().empty() && PathExists(dir + "/wal.log")) {
-    std::printf("%swal.log:   legacy single-file layout (upgrades on "
-                "next open)\n",
-                indent);
-  }
   return 0;
 }
 
@@ -543,33 +466,25 @@ void WarnIfLocked(const char* dir) {
 }
 
 int CmdStatus(const char* dir) {
-  if (ShardedRepository::IsShardedStore(dir)) {
-    auto manifest = ReadShardManifest(dir);
-    if (!manifest.ok()) return Fail(manifest.status());
-    std::printf("sharded store %s\n", dir);
-    WarnIfLocked(dir);
-    std::printf("  shards:    %d\n", manifest.value().shards);
-    std::printf("  epoch:     %llu\n",
-                static_cast<unsigned long long>(manifest.value().epoch));
-    for (int i = 0; i < manifest.value().shards; ++i) {
-      const std::string shard_dir =
-          std::string(dir) + "/" + ShardedRepository::ShardDirName(i);
-      std::printf("  %s:\n", ShardedRepository::ShardDirName(i).c_str());
-      if (int rc = PrintDirStatus(shard_dir, "    "); rc != 0) return rc;
-    }
-    return 0;
-  }
-  if (!PathExists(std::string(dir) + "/PAWSTORE")) {
-    return Fail(Status::NotFound(std::string(dir) + " is not a paw store"));
-  }
+  auto manifest = ReadShardManifest(dir);
+  if (!manifest.ok()) return Fail(manifest.status());
   std::printf("store %s\n", dir);
   WarnIfLocked(dir);
-  return PrintDirStatus(dir, "  ");
+  std::printf("  shards:    %d\n", manifest.value().shards);
+  std::printf("  epoch:     %llu\n",
+              static_cast<unsigned long long>(manifest.value().epoch));
+  for (int i = 0; i < manifest.value().shards; ++i) {
+    const std::string shard_dir =
+        std::string(dir) + "/" + ShardedRepository::ShardDirName(i);
+    std::printf("  %s:\n", ShardedRepository::ShardDirName(i).c_str());
+    if (int rc = PrintDirStatus(shard_dir, "    "); rc != 0) return rc;
+  }
+  return 0;
 }
 
-/// Runs `runs` executions of `spec` through `add_exec` (shared by the
-/// single and sharded ingest paths). Inputs are varied per run so
-/// repeated ingests do not produce identical provenance.
+/// Runs `runs` executions of `spec` through `add_exec`. Inputs are
+/// varied per run so repeated ingests do not produce identical
+/// provenance.
 template <typename AddExec>
 int RunIngest(const Specification& spec, int runs, AddExec&& add_exec) {
   FunctionRegistry fns;
@@ -585,8 +500,8 @@ int RunIngest(const Specification& spec, int runs, AddExec&& add_exec) {
   return 0;
 }
 
-int CmdIngestSharded(const char* dir, Specification parsed, int runs,
-                     long threads, StoreOptions options) {
+int IngestRuns(const char* dir, Specification parsed, int runs,
+               long threads, StoreOptions options) {
   // threads > 1 also sizes the writer pool, so appends drain through
   // the per-shard queues instead of blocking the caller thread.
   if (threads > 1) options.writer_threads = static_cast<int>(threads);
@@ -701,8 +616,6 @@ int CmdIngest(const char* dir, const char* path, int argc, char** argv) {
       }
       continue;
     }
-    if (!ParseCodecOption(argv[i], &options.codec, &matched)) return 1;
-    if (matched) continue;
     long segbytes = 0;
     if (!ParseIntOption(argv[i], "segbytes", 1, 1L << 30, &segbytes,
                         &matched)) {
@@ -740,44 +653,8 @@ int CmdIngest(const char* dir, const char* path, int argc, char** argv) {
   }
   auto parsed = LoadSpec(path);
   if (!parsed.ok()) return Fail(parsed.status());
-  if (ShardedRepository::IsShardedStore(dir)) {
-    return CmdIngestSharded(dir, std::move(parsed).value(),
-                            static_cast<int>(runs), threads, options);
-  }
-
-  auto store = PersistentRepository::Open(dir, options);
-  if (!store.ok()) return Fail(store.status());
-  // Reuse a previously ingested spec of the same name, else store it.
-  int spec_id;
-  auto existing = store.value().repo().FindSpec(parsed.value().name());
-  if (existing.ok()) {
-    spec_id = existing.value();
-    std::printf("spec \"%s\" already stored as id %d\n",
-                parsed.value().name().c_str(), spec_id);
-  } else {
-    auto added =
-        store.value().AddSpecification(std::move(parsed).value());
-    if (!added.ok()) return Fail(added.status());
-    spec_id = added.value();
-    std::printf("stored spec as id %d\n", spec_id);
-  }
-
-  const Specification& spec = store.value().repo().entry(spec_id).spec;
-  if (int rc = RunIngest(spec, static_cast<int>(runs), [&](Execution exec) {
-        return store.value().AddExecution(spec_id, std::move(exec));
-      });
-      rc != 0) {
-    return rc;
-  }
-  auto synced = store.value().Sync();
-  if (!synced.ok()) return Fail(synced);
-  if (Status s = store.value().WaitForCompaction(); !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("ingested %ld execution(s) of spec %d; store lsn now %llu\n",
-              runs, spec_id,
-              static_cast<unsigned long long>(store.value().lsn()));
-  return 0;
+  return IngestRuns(dir, std::move(parsed).value(), static_cast<int>(runs),
+                    threads, options);
 }
 
 int CmdCompact(const char* dir, int argc, char** argv) {
@@ -808,79 +685,29 @@ int CmdCompact(const char* dir, int argc, char** argv) {
     return 1;
   }
   const char* mode_name = background ? "background" : "inline";
-  if (ShardedRepository::IsShardedStore(dir)) {
-    auto store = ShardedRepository::Open(dir, {}, static_cast<int>(threads));
-    if (!store.ok()) return Fail(store.status());
-    uint64_t before = 0;
-    for (int i = 0; i < store.value().num_shards(); ++i) {
-      before += store.value().shard(i).records_since_snapshot();
-    }
-    if (background) {
-      // The cut is non-blocking (appends could continue right after
-      // CompactAsync returns); the CLI then waits so its exit code
-      // reflects the snapshot workers' outcome.
-      if (Status s = store.value().CompactAsync(); !s.ok()) return Fail(s);
-      if (Status s = store.value().WaitForCompaction(); !s.ok()) {
-        return Fail(s);
-      }
-    } else if (Status s = store.value().Compact(static_cast<int>(threads));
-               !s.ok()) {
-      return Fail(s);
-    }
-    std::printf(
-        "compacted %s (%s): folded %llu record(s) into %d shard "
-        "snapshot(s) (%ld thread(s))\n",
-        dir, mode_name, static_cast<unsigned long long>(before),
-        store.value().num_shards(), threads);
-    return 0;
-  }
-  auto store = PersistentRepository::Open(dir);
+  auto store = ShardedRepository::Open(dir, {}, static_cast<int>(threads));
   if (!store.ok()) return Fail(store.status());
-  const uint64_t before = store.value().records_since_snapshot();
+  uint64_t before = 0;
+  for (int i = 0; i < store.value().num_shards(); ++i) {
+    before += store.value().shard(i).records_since_snapshot();
+  }
   if (background) {
+    // The cut is non-blocking (appends could continue right after
+    // CompactAsync returns); the CLI then waits so its exit code
+    // reflects the snapshot workers' outcome.
     if (Status s = store.value().CompactAsync(); !s.ok()) return Fail(s);
     if (Status s = store.value().WaitForCompaction(); !s.ok()) {
       return Fail(s);
     }
-  } else if (Status s = store.value().Compact(); !s.ok()) {
+  } else if (Status s = store.value().Compact(static_cast<int>(threads));
+             !s.ok()) {
     return Fail(s);
   }
   std::printf(
-      "compacted %s (%s): folded %llu record(s) into snapshot lsn %llu\n",
+      "compacted %s (%s): folded %llu record(s) into %d shard "
+      "snapshot(s) (%ld thread(s))\n",
       dir, mode_name, static_cast<unsigned long long>(before),
-      static_cast<unsigned long long>(store.value().lsn()));
-  return 0;
-}
-
-int CmdMigrate(const char* dir, int argc, char** argv) {
-  long threads = 1;
-  if (int rc = ParseThreads(argc, argv, &threads); rc != 0) return rc;
-  // Opening with the (default) binary codec bumps a v1 marker to v2;
-  // compacting then re-encodes every record into a binary snapshot and
-  // truncates the text WAL — after which no v1 payload remains on disk.
-  if (ShardedRepository::IsShardedStore(dir)) {
-    auto store = ShardedRepository::Open(dir, {}, static_cast<int>(threads));
-    if (!store.ok()) return Fail(store.status());
-    const int entries =
-        store.value().num_specs() + store.value().num_executions();
-    auto compacted = store.value().Compact(static_cast<int>(threads));
-    if (!compacted.ok()) return Fail(compacted);
-    std::printf(
-        "migrated sharded store %s to format v2: re-encoded %d "
-        "entries into %d binary shard snapshot(s)\n",
-        dir, entries, store.value().num_shards());
-    return 0;
-  }
-  auto store = PersistentRepository::Open(dir);
-  if (!store.ok()) return Fail(store.status());
-  const int entries = store.value().repo().num_specs() +
-                      store.value().repo().num_executions();
-  auto compacted = store.value().Compact();
-  if (!compacted.ok()) return Fail(compacted);
-  std::printf(
-      "migrated store %s to format v2: re-encoded %d entries into a "
-      "binary snapshot\n",
-      dir, entries);
+      store.value().num_shards(), threads);
   return 0;
 }
 
@@ -1006,10 +833,6 @@ int CmdServe(const char* dir, int argc, char** argv) {
       }
       continue;
     }
-    if (std::strcmp(argv[i], "poll") == 0) {
-      options.use_poll = true;
-      continue;
-    }
     std::string viewcache;
     ParseStrOption(argv[i], "viewcache", &viewcache, &matched);
     if (matched) {
@@ -1094,38 +917,21 @@ int CmdServe(const char* dir, int argc, char** argv) {
     return 1;
   }
 
-  // Create the store on first serve of an empty directory. For an
-  // existing store the on-disk layout wins: shards=N cannot re-shard,
-  // so a mismatch is reported rather than silently ignored.
-  const bool exists = ShardedRepository::IsShardedStore(dir) ||
-                      PathExists(std::string(dir) + "/PAWSTORE");
-  if (exists && shards > 0) {
-    int on_disk = 0;
-    if (auto manifest = ReadShardManifest(dir); manifest.ok()) {
-      on_disk = manifest.value().shards;
-    }
-    if (on_disk != shards) {
-      std::fprintf(stderr,
-                   "warning: %s already holds a %s store; shards=%ld "
-                   "ignored (the layout is fixed at init)\n",
-                   dir,
-                   on_disk > 0
-                       ? (std::to_string(on_disk) + "-shard").c_str()
-                       : "single-directory",
-                   shards);
-    }
-  }
-  if (!exists) {
-    if (shards > 0) {
-      auto init = ShardedRepository::Init(dir, static_cast<int>(shards));
-      if (!init.ok()) return Fail(init.status());
-      std::printf("initialized sharded store in %s (%ld shards)\n", dir,
-                  shards);
-    } else {
-      auto init = PersistentRepository::Init(dir);
-      if (!init.ok()) return Fail(init.status());
-      std::printf("initialized store in %s\n", dir);
-    }
+  // Create the store on first serve of a directory that holds none.
+  // For an existing store the on-disk shard count wins: shards=N cannot
+  // re-shard, so a mismatch is reported rather than silently ignored. A
+  // corrupt manifest falls through to Start, which reports it.
+  auto manifest = ReadShardManifest(dir);
+  if (manifest.ok() && shards > 0 && manifest.value().shards != shards) {
+    std::fprintf(stderr,
+                 "warning: %s already holds a %d-shard store; shards=%ld "
+                 "ignored (the layout is fixed at init)\n",
+                 dir, manifest.value().shards, shards);
+  } else if (manifest.status().IsNotFound()) {
+    const int n = shards > 0 ? static_cast<int>(shards) : 1;
+    auto init = ShardedRepository::Init(dir, n);
+    if (!init.ok()) return Fail(init.status());
+    std::printf("initialized store in %s (%d shard(s))\n", dir, n);
   }
 
   options.worker_threads = static_cast<int>(workers);
@@ -1660,18 +1466,17 @@ int Usage() {
                "       pawctl show <spec.paw>\n"
                "       pawctl run <spec.paw> [label=value ...]\n"
                "       pawctl search <spec.paw> <level> <term> ...\n"
-               "       pawctl init <dir> [shards=N] [codec=binary|text]\n"
+               "       pawctl init <dir> [shards=N]\n"
                "       pawctl open <dir> [threads=N]\n"
                "       pawctl status <dir>\n"
                "       pawctl ingest <dir> <spec.paw> [runs=N] [threads=N]"
-               " [sync=each|batch] [codec=binary|text] [segbytes=N]"
+               " [sync=each|batch] [segbytes=N]"
                " [every=N] [compact=background|inline]\n"
                "       pawctl compact <dir> [threads=N]"
                " [mode=background|inline]\n"
-               "       pawctl migrate <dir> [threads=N]\n"
                "       pawctl serve <dir> [port=N] [bind=ADDR] [shards=N]"
                " [workers=N] [writers=N] [threads=N] [sync=each|batch]"
-               " [auth=name:level[:group],...] [idle=MS] [admin=N] [poll]"
+               " [auth=name:level[:group],...] [idle=MS] [admin=N]"
                " [viewcache=on|off] [viewcache-mb=N]"
                " [follow=HOST:PORT] [follow-principal=NAME]"
                " [acks=local|quorum] [quorum-ms=N] [trace-sample=N]\n"
@@ -1715,9 +1520,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "compact" && argc >= 3) {
     return CmdCompact(argv[2], argc - 3, argv + 3);
-  }
-  if (cmd == "migrate" && argc >= 3) {
-    return CmdMigrate(argv[2], argc - 3, argv + 3);
   }
   if (cmd == "serve" && argc >= 3) {
     return CmdServe(argv[2], argc - 3, argv + 3);
