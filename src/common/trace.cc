@@ -254,6 +254,10 @@ void RecordAuditEvent(AuditVerdict verdict, std::string_view principal,
   span.set_principal(principal);
   span.set_detail(detail);
   TraceRecorder::Global().Record(span);
+#else
+  (void)principal;
+  (void)opcode;
+  (void)detail;
 #endif
 }
 

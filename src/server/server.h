@@ -7,16 +7,25 @@
 /// Fronts a sharded persistent store (`ShardedRepository`, created by
 /// `pawctl init`) and the privacy-aware query engine over the binary
 /// wire protocol of `src/server/wire.h`. The design is a classic
-/// reactor:
+/// reactor, in three parts:
 ///
-///  - One *event-loop thread* owns the listening socket and every
-///    connection fd, multiplexed through epoll. It reads bytes, parses frames, flushes responses, enforces idle
+///  - `event_loop.{h,cc}`: one *event-loop thread* owns the listening
+///    socket and every connection fd, multiplexed through epoll. It
+///    reads bytes, parses frames, flushes responses, enforces idle
 ///    timeouts, and closes connections on protocol corruption (a bad
-///    magic/CRC poisons the stream — there is no way to resync).
-///  - A fixed *worker pool* executes requests. Frames of one
-///    connection are processed serially and in order (so a pipelined
-///    ADD_SPEC → ADD_EXECUTION sequence works), while different
-///    connections run in parallel.
+///    magic/CRC poisons the stream — there is no way to resync). A
+///    fixed *worker pool* executes requests. Frames of one connection
+///    are processed serially and in order (so a pipelined ADD_SPEC →
+///    ADD_EXECUTION sequence works), while different connections run
+///    in parallel.
+///  - `dispatch.{h,cc}`: the opcode table — per opcode, whether it
+///    needs AUTH, is refused on a follower, is admin only, which store
+///    lease it takes, and whether it is privacy-enforced (audited) —
+///    and the one dispatcher that applies it. A `Request` carries the
+///    request's stage boundaries (lease.wait → engine → reply), from
+///    which `Respond` derives the latency histogram, the span family
+///    and the slow-log line.
+///  - `handlers.cc`: one handler per opcode, returning its reply.
 ///
 /// **Sessions and privacy.** A connection must HELLO (version
 /// negotiation) and then AUTH as a registered principal before any
@@ -48,9 +57,8 @@
 /// ADD_SPEC and COMPACT take the lease *exclusively* and drain first:
 /// spec ingestion pins registry entries from the live entry vectors,
 /// and compaction folds store files under the readers' feet. See
-/// tools/README.md for the per-opcode lease table.
+/// tools/README.md for the opcode table.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -93,9 +101,8 @@ struct ServerOptions {
   /// Slow-query log threshold: requests whose parse-to-reply span
   /// exceeds this many milliseconds are logged at warning level with
   /// request id, opcode, principal, duration, and result size (plus
-  /// the lease/engine trace spans when the handler stamped them).
-  /// < 0 disables. Left at the default, `Start` mirrors
-  /// `store.slow_query_ms` here so one knob configures both layers.
+  /// the lease.wait/engine stage durations of leased opcodes), and
+  /// their span family is always recorded. < 0 disables.
   int slow_query_ms = 100;
   /// Minimum level for COMPACT.
   AccessLevel admin_level = 100;
@@ -148,17 +155,6 @@ struct ServerOptions {
 /// store-dir lock).
 class PawServer {
  public:
-  /// \brief Observability counters (monotonic; read with `stats`).
-  struct Stats {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> frames_received{0};
-    std::atomic<uint64_t> bad_frames{0};
-    std::atomic<uint64_t> responses_sent{0};
-    std::atomic<uint64_t> auth_failures{0};
-    std::atomic<uint64_t> permission_denied{0};
-    std::atomic<uint64_t> idle_closed{0};
-  };
-
   /// \brief Opens (and locks) the sharded store under `dir`, binds the
   /// socket, and spawns the event loop + workers. A directory without
   /// a `PAWSHARDS` manifest is refused untouched.
@@ -178,8 +174,6 @@ class PawServer {
 
   /// \brief Live connection count.
   int connections() const;
-
-  const Stats& stats() const;
 
  private:
   struct Impl;

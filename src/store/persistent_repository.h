@@ -104,11 +104,6 @@ struct StoreOptions {
   /// captures. Must be thread-safe (sharded stores share it across
   /// shard workers). Leave empty in production.
   std::function<void(CompactionPhase)> compaction_hook;
-  /// Store-level slow-operation threshold in milliseconds, mirrored
-  /// into `ServerOptions::slow_query_ms` by the server: requests whose
-  /// accept-to-reply span exceeds it are logged at warning level with
-  /// opcode, principal, duration, and result size. < 0 disables.
-  int slow_query_ms = 100;
 };
 
 /// \brief Durable provenance-aware workflow repository.

@@ -1,10 +1,11 @@
 // End-to-end pawd server tests: in-process server + PawClient over
 // real sockets. Covers session gating (HELLO/AUTH ordering, version
-// negotiation), per-principal privacy filtering of search / lineage /
-// get-spec / get-execution, concurrent pipelined ingest from several
-// clients, durability of acked writes across a server restart, the
-// poll(2) backend, idle timeouts, admin-gated compaction, and the
-// store-dir lock honored while a server runs.
+// negotiation), every opcode's AUTH / admin-level / follower gates,
+// per-principal privacy filtering of search / lineage / get-spec /
+// get-execution, concurrent pipelined ingest from several clients,
+// durability of acked writes across a server restart, idle timeouts,
+// request stage spans tiling each leased request, and the store-dir
+// lock honored while a server runs.
 
 #include "src/server/server.h"
 
@@ -15,8 +16,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -456,12 +459,94 @@ TEST(ServerTest, QueriesRunConcurrentlyWithIngestOnSharedLease) {
   EXPECT_EQ(status.value().executions, 1 + kWriters * kPerWriter);
 }
 
-TEST(ServerTest, CompactRequiresAdminLevel) {
-  Fixture f = Fixture::Create("compact", TestOptions());
-  f.UploadSpec();
-  auto bob = f.Client("bob");
-  ASSERT_TRUE(bob.ok());
-  EXPECT_TRUE(bob.value().Compact().IsPermissionDenied());
+/// Sends one raw `opcode` frame with an empty body on `client` and
+/// returns the status its response carries.
+Status RawCall(PawClient& client, wire::Opcode opcode, uint64_t request_id) {
+  PAW_RETURN_NOT_OK(client.SendRawFrame(opcode, request_id, ""));
+  auto frame = client.ReadPushedFrame();
+  if (!frame.ok()) return frame.status();
+  EXPECT_EQ(frame.value().request_id, request_id);
+  size_t offset = 0;
+  Status status;
+  EXPECT_TRUE(wire::ReadResponseStatus(frame.value().payload, &offset,
+                                       &status));
+  return status;
+}
+
+TEST(ServerTest, EveryOpcodeRowGatesAuthAdminLevelAndFollowerWrites) {
+  // The gates each opcode must apply, written out independently of the
+  // server's own table.
+  struct Row {
+    wire::Opcode op;
+    bool needs_auth;
+    bool admin;
+    bool write;
+  };
+  using Op = wire::Opcode;
+  const Row rows[] = {
+      {Op::kHello, false, false, false},
+      {Op::kAuth, false, false, false},
+      {Op::kAddSpec, true, false, true},
+      {Op::kAddExecution, true, false, true},
+      {Op::kGetSpec, true, false, false},
+      {Op::kGetExecution, true, false, false},
+      {Op::kKeywordSearch, true, false, false},
+      {Op::kStructuralQuery, true, false, false},
+      {Op::kLineage, true, false, false},
+      {Op::kStatus, true, false, false},
+      {Op::kCompact, true, true, true},
+      {Op::kMetrics, true, false, false},
+      {Op::kSubscribe, true, true, true},
+      {Op::kReplicate, true, false, false},
+      {Op::kTraceDump, true, true, false},
+  };
+  ASSERT_EQ(std::size(rows), static_cast<size_t>(Op::kTraceDump));
+
+  Fixture f = Fixture::Create("gates", TestOptions());
+  const std::string follower_dir = TestDir("gates_follower");
+  ASSERT_TRUE(ShardedRepository::Init(follower_dir, 4).ok());
+  ServerOptions follower_options = TestOptions();
+  follower_options.follow_host = "127.0.0.1";
+  follower_options.follow_port = f.server->port();
+  follower_options.follow_principal = "root";
+  auto follower = PawServer::Start(follower_dir, std::move(follower_options));
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+
+  auto anonymous = PawClient::Connect("127.0.0.1", f.server->port());
+  auto alice = f.Client("alice");  // level 0
+  auto replica = PawClient::Connect("127.0.0.1", follower.value()->port());
+  ASSERT_TRUE(anonymous.ok());
+  ASSERT_TRUE(alice.ok());
+  ASSERT_TRUE(replica.ok());
+  ASSERT_TRUE(replica.value().Auth("root").ok());
+  const std::string leader =
+      "read-only follower of 127.0.0.1:" + std::to_string(f.server->port());
+
+  uint64_t id = 1000;
+  for (const Row& row : rows) {
+    const std::string name(wire::OpcodeName(row.op));
+    SCOPED_TRACE(name);
+    if (row.needs_auth) {
+      const Status status = RawCall(anonymous.value(), row.op, ++id);
+      EXPECT_TRUE(status.IsPermissionDenied()) << status.ToString();
+      EXPECT_EQ(status.message(), name + " requires AUTH");
+    }
+    // HELLO and AUTH change the session itself; no later gate applies.
+    if (!row.needs_auth) continue;
+    const Status as_alice = RawCall(alice.value(), row.op, ++id);
+    EXPECT_EQ(as_alice.IsPermissionDenied() &&
+                  as_alice.message().find(
+                      "requires level >= 100 (session level 0)") !=
+                      std::string::npos,
+              row.admin)
+        << as_alice.ToString();
+    const Status on_replica = RawCall(replica.value(), row.op, ++id);
+    EXPECT_EQ(on_replica.IsFailedPrecondition() &&
+                  on_replica.message().find(leader) != std::string::npos,
+              row.write)
+        << on_replica.ToString();
+  }
+  // The admin gate admits an admin-level principal.
   auto root = f.Client("root");
   ASSERT_TRUE(root.ok());
   EXPECT_TRUE(root.value().Compact().ok());
@@ -538,11 +623,18 @@ TEST(ServerTest, IdleConnectionsAreClosed) {
   auto client = f.Client("root");
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.value().GetStatus().ok());
+#if !defined(PAW_NO_METRICS)
+  Counter& idle_closed =
+      MetricsRegistry::Global().GetCounter("paw_server_idle_closed_total");
+  const uint64_t idle_closed_before = idle_closed.value();
+#endif
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   // The server dropped us; the next call fails on transport.
   auto status = client.value().GetStatus();
   EXPECT_FALSE(status.ok());
-  EXPECT_GE(f.server->stats().idle_closed.load(), 1u);
+#if !defined(PAW_NO_METRICS)
+  EXPECT_GE(idle_closed.value(), idle_closed_before + 1);
+#endif
 }
 
 TEST(ServerTest, IdleTimeoutSparesAPartiallyReceivedFrame) {
@@ -894,6 +986,109 @@ TEST(ServerTest, TraceDumpReturnsRequestSpanTreeAndIsAdminGated) {
   }
   EXPECT_TRUE(child_found);
 #endif
+}
+
+#if !defined(PAW_NO_TRACE)
+/// Fetches `trace_id` and checks that the children of its `req.<op>`
+/// root are exactly lease.wait, engine and reply, tiling the root with
+/// no gap and no overlap. Returns them in stage order.
+std::vector<Span> TiledStages(PawClient& admin, uint64_t trace_id,
+                              const std::string& op) {
+  wire::TraceDumpRequest by_id;
+  by_id.mode = wire::TraceDumpMode::kById;
+  by_id.trace_id = trace_id;
+  auto dump = admin.TraceDump(by_id);
+  EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+  if (!dump.ok()) return {};
+  const std::vector<Span>& spans = dump.value().spans;
+  const Span* root = nullptr;
+  for (const Span& s : spans) {
+    if (s.name_view() == "req." + op) root = &s;
+  }
+  EXPECT_NE(root, nullptr) << op;
+  if (root == nullptr) return {};
+  const auto is_child = [root](const Span& s) {
+    return s.parent_span_id == root->span_id;
+  };
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(), is_child), 3) << op;
+  std::vector<Span> stages;
+  for (const std::string_view name : {"lease.wait", "engine", "reply"}) {
+    for (const Span& s : spans) {
+      if (is_child(s) && s.name_view() == name) stages.push_back(s);
+    }
+  }
+  EXPECT_EQ(stages.size(), 3u) << op;
+  int64_t at = root->start_us;
+  for (const Span& s : stages) {
+    EXPECT_EQ(s.start_us, at) << op << " " << s.name_view();
+    at = s.end_us;
+  }
+  EXPECT_EQ(at, root->end_us) << op;
+  return stages;
+}
+#endif
+
+TEST(ServerTest, StageSpansTileEveryLeasedRequest) {
+  ServerOptions options = TestOptions();
+  options.trace_sample_n = 1;  // record every trace
+  Fixture f = Fixture::Create("stage_tiling", std::move(options));
+  auto root = f.Client("root");
+  ASSERT_TRUE(root.ok());
+  PawClient& c = root.value();
+  wire::StructuralRequest pattern;
+  pattern.spec_name = f.spec.name();
+  pattern.var_terms = {"expand", "omim"};
+  pattern.edges = {{0, 1, true}};
+  // Every opcode whose row takes a store lease, issued once each.
+  const std::vector<std::pair<std::string, std::function<Status()>>> calls =
+      {{"add_spec",
+        [&] {
+          return c.AddSpec(DiseaseSpecText(), DiseasePolicyText()).status();
+        }},
+       {"add_execution",
+        [&] {
+          return c.AddExecution(f.spec.name(), DiseaseExecText(f.spec, 0))
+              .status();
+        }},
+       {"get_execution",
+        [&] { return c.GetExecution(f.spec.name(), 0).status(); }},
+       {"keyword_search", [&] { return c.Search({"omim"}).status(); }},
+       {"structural_query", [&] { return c.Structural(pattern).status(); }},
+       {"lineage", [&] { return c.Lineage(f.spec.name(), 0, 0).status(); }},
+       {"status", [&] { return c.GetStatus().status(); }},
+       {"compact", [&] { return c.Compact(); }}};
+  for (const auto& [op, call] : calls) {
+    const Status status = call();
+    ASSERT_TRUE(status.ok()) << op << ": " << status.ToString();
+#if !defined(PAW_NO_TRACE)
+    const std::vector<Span> stages = TiledStages(c, c.last_trace_id(), op);
+    if (op == "get_execution" && stages.size() == 3) {
+      // The mask lookup runs under the lease: billed to engine.
+      EXPECT_GT(stages[1].end_us, stages[1].start_us);
+    }
+#endif
+  }
+}
+
+TEST(ServerTest, SlowUnsampledRequestStillRecordsItsStages) {
+  const uint32_t saved_sample_n = TraceRecorder::Global().sample_n();
+  ServerOptions options = TestOptions();
+  options.trace_sample_n = 1u << 30;  // head sampling keeps ~nothing
+  options.slow_query_ms = 0;          // every nonzero request is slow
+  Fixture f = Fixture::Create("slow_unsampled", std::move(options));
+  f.UploadSpec();
+  auto root = f.Client("root");
+  ASSERT_TRUE(root.ok());
+  // A synced append takes at least one fsync.
+  auto ack = root.value().AddExecution(f.spec.name(),
+                                       DiseaseExecText(f.spec, 1));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  const uint64_t trace_id = root.value().last_trace_id();
+  EXPECT_FALSE(TraceRecorder::Global().Sampled(trace_id));
+#if !defined(PAW_NO_TRACE)
+  TiledStages(root.value(), trace_id, "add_execution");
+#endif
+  TraceRecorder::Global().set_sample_n(saved_sample_n);
 }
 
 TEST(ServerTest, AuditChannelRecordsDeniedAndMaskedAccess) {

@@ -367,10 +367,11 @@ if [[ -x "$BUILD_DIR/bench_server" ]]; then
   # window.
   # The baseline compiles out BOTH metrics and the span flight
   # recorder, so the gate prices the full observability stack
-  # (counters + tracing at default sampling) at once.
+  # (counters + tracing at default sampling) at once. It builds with
+  # -Werror: compiled-out instrumentation must leave no unused names.
   NOMETRICS_BUILD_DIR="${NOMETRICS_BUILD_DIR:-build-nometrics}"
   cmake -B "$NOMETRICS_BUILD_DIR" -S . -DPAW_NO_METRICS=ON \
-    -DPAW_NO_TRACE=ON
+    -DPAW_NO_TRACE=ON -DCMAKE_CXX_FLAGS=-Werror
   cmake --build "$NOMETRICS_BUILD_DIR" -j "$JOBS" --target bench_server
   BASE_BIN="$(pwd)/$NOMETRICS_BUILD_DIR/bench_server"
   gate_attempt() {
