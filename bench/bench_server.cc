@@ -407,7 +407,7 @@ class IngestLoad {
 
 // ---------------------------------------------------------------------
 // E13: multi-tenant capacity model. Hundreds of principals with
-// distinct levels and cache groups, zipfian spec popularity, and a
+// distinct levels and groups, zipfian spec popularity, and a
 // YCSB-style mixed op ratio (40% LINEAGE / 25% STRUCTURAL / 15%
 // KEYWORD_SEARCH / 15% GET_EXECUTION / 5% ADD_EXECUTION) driven
 // through pawd at bench scale. Each cell sweeps the popularity skew;
@@ -489,7 +489,7 @@ E13Cell RunE13Cell(int port, const E13Tenants& tenants, double skew,
     threads.emplace_back([&, c] {
       Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)));
       // Session principal: zipf-popular, so at high skew most traffic
-      // shares few cache groups — the many-users-one-view case.
+      // shares few levels — the many-users-one-view case.
       const size_t who = rng.Zipf(
           static_cast<size_t>(tenants.num_principals), skew);
       auto client = PawClient::Connect("127.0.0.1", port);

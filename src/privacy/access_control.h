@@ -25,7 +25,8 @@ struct Principal {
   PrincipalId id;
   std::string name;
   AccessLevel level = 0;
-  /// Cache/sharing group (e.g. "oncology-lab"); empty = no group.
+  /// Group for audit attribution (e.g. "oncology-lab"); empty = no
+  /// group. What a principal sees depends on the level alone.
   std::string group;
 };
 

@@ -31,20 +31,18 @@ Gauge& ViewCacheBytes() {
   return g;
 }
 
-/// Key layout: `<kind>:<ns>:<id>:<cache_group>`. The namespace comes
-/// before the id so `InvalidateNamespace` could someday prefix-scan;
-/// today both invalidations walk entries via the stored Slot fields.
-std::string MakeKey(char kind, uint64_t ns, int64_t id,
-                    const std::string& cache_group) {
+/// Key layout: `<kind>:<ns>:<id>:<level>`. Both invalidations walk
+/// entries via the stored Slot fields, not the key.
+std::string MakeKey(char kind, uint64_t ns, int64_t id, AccessLevel level) {
   std::string key;
-  key.reserve(cache_group.size() + 24);
+  key.reserve(32);
   key += kind;
   key += ':';
   key += std::to_string(ns);
   key += ':';
   key += std::to_string(id);
   key += ':';
-  key += cache_group;
+  key += std::to_string(level);
   return key;
 }
 
@@ -117,52 +115,48 @@ void PrivacyViewCache::PublishGaugeAndEvictions() {
 }
 
 std::shared_ptr<const SpecView> PrivacyViewCache::GetSpecView(
-    uint64_t ns, int spec_id, const std::string& cache_group,
-    uint64_t cut_epoch) {
+    uint64_t ns, int spec_id, AccessLevel level, uint64_t cut_epoch) {
   return std::static_pointer_cast<const SpecView>(
-      Lookup(MakeKey('s', ns, spec_id, cache_group), cut_epoch));
+      Lookup(MakeKey('s', ns, spec_id, level), cut_epoch));
 }
 
 void PrivacyViewCache::PutSpecView(uint64_t ns, int spec_id,
-                                   const std::string& cache_group,
-                                   uint64_t cut_epoch,
+                                   AccessLevel level, uint64_t cut_epoch,
                                    std::shared_ptr<const SpecView> view) {
   const size_t bytes = ApproxViewBytes(*view);
-  Insert(MakeKey('s', ns, spec_id, cache_group), std::move(view), ns,
-         spec_id, cut_epoch, bytes);
+  Insert(MakeKey('s', ns, spec_id, level), std::move(view), ns, spec_id,
+         cut_epoch, bytes);
 }
 
 std::shared_ptr<const ExecZoomOutResult> PrivacyViewCache::GetExecZoom(
-    uint64_t ns, ExecutionId exec_id, const std::string& cache_group,
+    uint64_t ns, ExecutionId exec_id, AccessLevel level,
     uint64_t cut_epoch) {
   return std::static_pointer_cast<const ExecZoomOutResult>(
-      Lookup(MakeKey('z', ns, exec_id.value(), cache_group), cut_epoch));
+      Lookup(MakeKey('z', ns, exec_id.value(), level), cut_epoch));
 }
 
 void PrivacyViewCache::PutExecZoom(
-    uint64_t ns, ExecutionId exec_id, int spec_id,
-    const std::string& cache_group, uint64_t cut_epoch,
-    std::shared_ptr<const ExecZoomOutResult> zoom) {
+    uint64_t ns, ExecutionId exec_id, int spec_id, AccessLevel level,
+    uint64_t cut_epoch, std::shared_ptr<const ExecZoomOutResult> zoom) {
   const size_t bytes = ApproxViewBytes(*zoom);
-  Insert(MakeKey('z', ns, exec_id.value(), cache_group), std::move(zoom),
-         ns, spec_id, cut_epoch, bytes);
+  Insert(MakeKey('z', ns, exec_id.value(), level), std::move(zoom), ns,
+         spec_id, cut_epoch, bytes);
 }
 
 std::shared_ptr<const MaskingReport> PrivacyViewCache::GetMasking(
-    uint64_t ns, ExecutionId exec_id, const std::string& cache_group,
+    uint64_t ns, ExecutionId exec_id, AccessLevel level,
     uint64_t cut_epoch) {
   return std::static_pointer_cast<const MaskingReport>(
-      Lookup(MakeKey('m', ns, exec_id.value(), cache_group), cut_epoch));
+      Lookup(MakeKey('m', ns, exec_id.value(), level), cut_epoch));
 }
 
 void PrivacyViewCache::PutMasking(uint64_t ns, ExecutionId exec_id,
-                                  int spec_id,
-                                  const std::string& cache_group,
+                                  int spec_id, AccessLevel level,
                                   uint64_t cut_epoch,
                                   std::shared_ptr<const MaskingReport> mask) {
   const size_t bytes = ApproxViewBytes(*mask);
-  Insert(MakeKey('m', ns, exec_id.value(), cache_group), std::move(mask),
-         ns, spec_id, cut_epoch, bytes);
+  Insert(MakeKey('m', ns, exec_id.value(), level), std::move(mask), ns,
+         spec_id, cut_epoch, bytes);
 }
 
 size_t PrivacyViewCache::InvalidateSpec(uint64_t ns, int spec_id) {

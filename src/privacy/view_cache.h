@@ -2,25 +2,25 @@
 #define PAW_PRIVACY_VIEW_CACHE_H_
 
 /// \file view_cache.h
-/// \brief Memoized per-principal privacy views (ROADMAP item 5a).
+/// \brief Memoized per-level privacy views.
 ///
 /// The paper's serving model answers every provenance query through the
 /// finest view the principal may see — and both view papers (PAPERS.md)
 /// stress that the *same* view must be served consistently across
 /// repeated executions and many users. That makes the computed views
 /// perfect memo material: a zoom-out result, access view, or mask set
-/// depends only on (the immutable spec or execution entry, the
-/// principal's cache group). This cache stores them process-wide so
+/// depends only on the immutable spec or execution entry and the
+/// principal's access level. This cache stores them process-wide so
 /// every engine, worker thread, and connection shares one budgeted pool.
 ///
-/// Key structure — `(kind, namespace, spec-or-exec id, cache-group)`:
+/// Key structure — `(kind, namespace, spec-or-exec id, level)`:
 ///  - *kind*: access/structural `SpecView`, execution `ExecZoomOutResult`,
 ///    or data-privacy `MaskingReport`.
 ///  - *namespace*: one per `QueryEngine` instance (never reused), so ids
 ///    from different shards or engine generations cannot alias.
-///  - *cache-group*: `group + "@" + level`, the same partition tag the
-///    result cache uses — principals share a view only when both group
-///    and level match, mirroring the paper's group-sharing rule.
+///  - *level*: the principal's access level. A view depends on the entry
+///    and the level alone, so all principals at one level share it,
+///    whatever their group; the group is only audit attribution.
 ///
 /// Epoch discipline (PR 7's floor rule): every entry is stamped with the
 /// engine cut's mutation epoch at computation time, and a lookup passes
@@ -43,6 +43,7 @@
 #include "src/index/sharded_lru.h"
 #include "src/privacy/data_privacy.h"
 #include "src/query/zoom_out.h"
+#include "src/workflow/spec.h"
 #include "src/workflow/view.h"
 
 namespace paw {
@@ -67,27 +68,29 @@ class PrivacyViewCache {
   // Spec-keyed access/structural views -------------------------------
 
   std::shared_ptr<const SpecView> GetSpecView(uint64_t ns, int spec_id,
-                                              const std::string& cache_group,
+                                              AccessLevel level,
                                               uint64_t cut_epoch);
-  void PutSpecView(uint64_t ns, int spec_id, const std::string& cache_group,
+  void PutSpecView(uint64_t ns, int spec_id, AccessLevel level,
                    uint64_t cut_epoch, std::shared_ptr<const SpecView> view);
 
   // Execution-keyed zoom-out results ---------------------------------
 
-  std::shared_ptr<const ExecZoomOutResult> GetExecZoom(
-      uint64_t ns, ExecutionId exec_id, const std::string& cache_group,
-      uint64_t cut_epoch);
+  std::shared_ptr<const ExecZoomOutResult> GetExecZoom(uint64_t ns,
+                                                       ExecutionId exec_id,
+                                                       AccessLevel level,
+                                                       uint64_t cut_epoch);
   void PutExecZoom(uint64_t ns, ExecutionId exec_id, int spec_id,
-                   const std::string& cache_group, uint64_t cut_epoch,
+                   AccessLevel level, uint64_t cut_epoch,
                    std::shared_ptr<const ExecZoomOutResult> zoom);
 
   // Execution-keyed data-privacy mask sets ---------------------------
 
-  std::shared_ptr<const MaskingReport> GetMasking(
-      uint64_t ns, ExecutionId exec_id, const std::string& cache_group,
-      uint64_t cut_epoch);
+  std::shared_ptr<const MaskingReport> GetMasking(uint64_t ns,
+                                                  ExecutionId exec_id,
+                                                  AccessLevel level,
+                                                  uint64_t cut_epoch);
   void PutMasking(uint64_t ns, ExecutionId exec_id, int spec_id,
-                  const std::string& cache_group, uint64_t cut_epoch,
+                  AccessLevel level, uint64_t cut_epoch,
                   std::shared_ptr<const MaskingReport> mask);
 
   // Invalidation -----------------------------------------------------

@@ -2,11 +2,17 @@
 
 #include <sstream>
 
+#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace paw {
 
-std::string SerializeExecution(const Execution& exec) {
+std::string SerializeExecution(const Execution& exec,
+                               const std::vector<bool>& visible,
+                               std::string_view placeholder) {
+  PAW_CHECK(visible.empty() || visible.size() == exec.items().size())
+      << "visibility mask does not match the execution's items";
+  const std::string masked(placeholder);
   std::ostringstream os;
   os << "execution spec=" << QuoteField(exec.spec().name()) << "\n";
   for (const ExecNode& n : exec.nodes()) {
@@ -15,9 +21,11 @@ std::string SerializeExecution(const Execution& exec) {
        << " enclosing=" << n.enclosing.value() << "\n";
   }
   for (const DataItem& d : exec.items()) {
+    const bool shown =
+        visible.empty() || visible[static_cast<size_t>(d.id.value())];
     os << "item " << d.id.value() << " label=" << QuoteField(d.label)
-       << " producer=" << d.producer.value() << " value=" << QuoteField(d.value)
-       << "\n";
+       << " producer=" << d.producer.value()
+       << " value=" << QuoteField(shown ? d.value : masked) << "\n";
   }
   for (const auto& [u, v] : exec.graph().Edges()) {
     os << "flow " << u << " " << v << " items=\"";

@@ -19,6 +19,8 @@
 /// against it); round-trip is exact and validated by tests.
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/provenance/execution.h"
@@ -26,7 +28,14 @@
 namespace paw {
 
 /// \brief Renders `exec` in the text format above.
-std::string SerializeExecution(const Execution& exec);
+///
+/// With a non-empty `visible` (one entry per item, as in
+/// `MaskingReport::visible`), every item whose entry is false is written
+/// with `placeholder` as its value; identity, label, producer and flows
+/// are written unchanged. An empty `visible` writes every value.
+std::string SerializeExecution(const Execution& exec,
+                               const std::vector<bool>& visible = {},
+                               std::string_view placeholder = {});
 
 /// \brief Parses the text format against `spec`.
 ///

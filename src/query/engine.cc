@@ -1,7 +1,6 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/common/metrics.h"
@@ -46,68 +45,6 @@ Counter& EngineCatchupsTotal() {
   static Counter& c = MetricsRegistry::Global().GetCounter(
       "paw_query_engine_catchups_total");
   return c;
-}
-
-/// Serializes keyword answers for the result cache. The encoding is
-/// lossless (`DeserializeAnswers` round-trips it) so cache hits return
-/// real answers instead of merely skipping the re-insert.
-///
-/// Per answer: `spec_id|prefix ids|matched ids|view_size|score;` with
-/// comma-separated id lists and 17 significant digits for the score.
-std::string SerializeAnswers(const std::vector<KeywordAnswer>& answers) {
-  std::ostringstream os;
-  os.precision(17);
-  for (const KeywordAnswer& a : answers) {
-    os << a.spec_id << '|';
-    bool first = true;
-    for (WorkflowId w : a.prefix) {
-      if (!first) os << ',';
-      first = false;
-      os << w.value();
-    }
-    os << '|';
-    first = true;
-    for (ModuleId m : a.matched) {
-      if (!first) os << ',';
-      first = false;
-      os << m.value();
-    }
-    os << '|' << a.view_size << '|' << a.score << ';';
-  }
-  return os.str();
-}
-
-Result<std::vector<int32_t>> ParseIdList(const std::string& field) {
-  std::vector<int32_t> out;
-  if (field.empty()) return out;
-  for (const std::string& part : Split(field, ',')) {
-    out.push_back(static_cast<int32_t>(std::atoi(part.c_str())));
-  }
-  return out;
-}
-
-Result<std::vector<KeywordAnswer>> DeserializeAnswers(
-    const std::string& blob) {
-  std::vector<KeywordAnswer> answers;
-  for (const std::string& rec : Split(blob, ';')) {
-    if (rec.empty()) continue;
-    std::vector<std::string> fields = Split(rec, '|');
-    if (fields.size() != 5) {
-      return Status::Internal("malformed cached answer record");
-    }
-    KeywordAnswer a;
-    a.spec_id = std::atoi(fields[0].c_str());
-    PAW_ASSIGN_OR_RETURN(std::vector<int32_t> prefix_ids,
-                         ParseIdList(fields[1]));
-    for (int32_t v : prefix_ids) a.prefix.insert(WorkflowId(v));
-    PAW_ASSIGN_OR_RETURN(std::vector<int32_t> matched_ids,
-                         ParseIdList(fields[2]));
-    for (int32_t v : matched_ids) a.matched.push_back(ModuleId(v));
-    a.view_size = std::atoi(fields[3].c_str());
-    a.score = std::strtod(fields[4].c_str(), nullptr);
-    answers.push_back(std::move(a));
-  }
-  return answers;
 }
 
 }  // namespace
@@ -165,34 +102,25 @@ CacheStats QueryEngine::cache_stats() const {
   return cache_.stats();
 }
 
-Result<std::string> QueryEngine::CacheGroup(PrincipalId principal) const {
-  PAW_ASSIGN_OR_RETURN(Principal p, acl_.Get(principal));
-  return p.group + "@" + std::to_string(p.level);
-}
-
 Result<std::vector<KeywordAnswer>> QueryEngine::Search(
     PrincipalId principal, const std::vector<std::string>& terms) {
   PAW_ASSIGN_OR_RETURN(Principal p, acl_.Get(principal));
-  PAW_ASSIGN_OR_RETURN(std::string group, CacheGroup(principal));
-  std::string key = "kw:" + Join(terms, ",");
+  const std::string level = std::to_string(p.level);
+  const std::string key = "kw:" + Join(terms, ",");
   CatchUp();
   std::shared_lock<std::shared_mutex> lock(mu_);
   // Keyword answers depend only on the cut's spec slice, and specs are
   // append-only — so the spec count is the answer-invalidating epoch.
   // Execution ingest leaves cached keyword answers live.
   const uint64_t cache_epoch = static_cast<uint64_t>(view_.num_specs());
-  std::optional<std::string> hit;
+  std::optional<std::vector<KeywordAnswer>> hit;
   {
     std::lock_guard<std::mutex> cl(cache_mu_);
-    hit = cache_.Get(group, key, cache_epoch);
+    hit = cache_.Get(level, key, cache_epoch);
   }
   if (hit.has_value()) {
-    auto cached = DeserializeAnswers(*hit);
-    if (cached.ok()) {
-      CacheHitsTotal().Add();
-      return cached;
-    }
-    // Unreadable entry (should not happen): fall through and recompute.
+    CacheHitsTotal().Add();
+    return std::move(*hit);
   }
   CacheMissesTotal().Add();
   PAW_ASSIGN_OR_RETURN(
@@ -201,7 +129,7 @@ Result<std::vector<KeywordAnswer>> QueryEngine::Search(
                     options_.search));
   {
     std::lock_guard<std::mutex> cl(cache_mu_);
-    cache_.Put(group, key, SerializeAnswers(answers), cache_epoch);
+    cache_.Put(level, key, answers, cache_epoch);
   }
   return answers;
 }
@@ -212,13 +140,12 @@ Result<LineageAnswer> QueryEngine::RenderCone(
     const std::vector<ExecNodeId>& cone_nodes, DataItemId item,
     uint64_t cut_epoch) const {
   // 1. Structural zoom-out from the principal's access view — memoized
-  // per (execution, cache-group): the result depends only on the
-  // immutable execution entry, the spec's policy, and the level.
+  // per (execution, level): the result depends only on the immutable
+  // execution entry, the spec's policy, and the level.
   PrivacyViewCache* vc = view_cache();
-  const std::string cache_group = p.group + "@" + std::to_string(p.level);
   std::shared_ptr<const ExecZoomOutResult> zoomed_ptr;
   if (vc != nullptr) {
-    zoomed_ptr = vc->GetExecZoom(view_ns_, exec_id, cache_group, cut_epoch);
+    zoomed_ptr = vc->GetExecZoom(view_ns_, exec_id, p.level, cut_epoch);
   }
   if (zoomed_ptr == nullptr) {
     PAW_ASSIGN_OR_RETURN(
@@ -229,7 +156,7 @@ Result<LineageAnswer> QueryEngine::RenderCone(
         fresh.steps > 0 ? fresh.steps : 0));
     zoomed_ptr = std::make_shared<const ExecZoomOutResult>(std::move(fresh));
     if (vc != nullptr) {
-      vc->PutExecZoom(view_ns_, exec_id, spec_id, cache_group, cut_epoch,
+      vc->PutExecZoom(view_ns_, exec_id, spec_id, p.level, cut_epoch,
                       zoomed_ptr);
     }
   }
@@ -384,13 +311,12 @@ Result<std::vector<PatternMatch>> QueryEngine::Structural(
   }
   const SpecEntry& entry = view_.entry(spec_id);
   // The access view depends only on the immutable spec entry and the
-  // principal's cache group — memoize it and run the pattern match
-  // against the shared copy.
+  // principal's level — memoize it and run the pattern match against the
+  // shared copy.
   PrivacyViewCache* vc = view_cache();
-  const std::string cache_group = p.group + "@" + std::to_string(p.level);
   std::shared_ptr<const SpecView> view;
   if (vc != nullptr) {
-    view = vc->GetSpecView(view_ns_, spec_id, cache_group, view_.epoch);
+    view = vc->GetSpecView(view_ns_, spec_id, p.level, view_.epoch);
   }
   if (view == nullptr) {
     Prefix access = entry.hierarchy.AccessPrefix(entry.spec, p.level);
@@ -399,14 +325,14 @@ Result<std::vector<PatternMatch>> QueryEngine::Structural(
     ViewComputationsTotal().Add();
     view = std::make_shared<const SpecView>(std::move(fresh));
     if (vc != nullptr) {
-      vc->PutSpecView(view_ns_, spec_id, cache_group, view_.epoch, view);
+      vc->PutSpecView(view_ns_, spec_id, p.level, view_.epoch, view);
     }
   }
   return MatchPattern(*view, pattern);
 }
 
 Result<std::shared_ptr<const MaskingReport>> QueryEngine::ExecutionMask(
-    PrincipalId principal, ExecutionId exec_id) {
+    PrincipalId principal, ExecutionId exec_id, bool* cache_hit) {
   PAW_ASSIGN_OR_RETURN(Principal p, acl_.Get(principal));
   CatchUp();
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -416,16 +342,16 @@ Result<std::shared_ptr<const MaskingReport>> QueryEngine::ExecutionMask(
   const ExecutionEntry& entry = view_.execution(exec_id);
   const SpecEntry& spec_entry = view_.entry(entry.spec_id);
   PrivacyViewCache* vc = view_cache();
-  const std::string cache_group = p.group + "@" + std::to_string(p.level);
   std::shared_ptr<const MaskingReport> mask;
   if (vc != nullptr) {
-    mask = vc->GetMasking(view_ns_, exec_id, cache_group, view_.epoch);
+    mask = vc->GetMasking(view_ns_, exec_id, p.level, view_.epoch);
   }
+  if (cache_hit != nullptr) *cache_hit = mask != nullptr;
   if (mask == nullptr) {
     mask = std::make_shared<const MaskingReport>(
         ComputeMasking(entry.exec, spec_entry.policy.data, p.level));
     if (vc != nullptr) {
-      vc->PutMasking(view_ns_, exec_id, entry.spec_id, cache_group,
+      vc->PutMasking(view_ns_, exec_id, entry.spec_id, p.level,
                      view_.epoch, mask);
     }
   }

@@ -7,8 +7,12 @@
 /// Combines the repository, access control, indexes, ranking, masking and
 /// zoom-out into the interface a search UI would call. Every entry point
 /// takes a principal; answers never reveal anything beyond the
-/// principal's access view and the spec's policy. Group-partitioned LRU
-/// caching accelerates repeated queries within one privacy context.
+/// principal's access view and the spec's policy.
+///
+/// Memoization: every cached privacy answer (keyword results, access
+/// views, zoom-outs, masks) depends only on the entry and the principal's
+/// access level, so all principals at one level share it, whatever their
+/// group. The group stays audit attribution only.
 ///
 /// Concurrency (MVCC read path): the engine pins a `RepositoryView` and
 /// serves every query from that cut. Before serving it catches up to the
@@ -78,8 +82,8 @@ class QueryEngine {
   /// cost eagerly. Cheap no-op when already current.
   void RefreshIndexes();
 
-  /// \brief Keyword search at the principal's level; cached per
-  /// (group, level), invalidated when the cut's spec slice grows.
+  /// \brief Keyword search at the principal's level; cached per level,
+  /// invalidated when the cut's spec slice grows.
   Result<std::vector<KeywordAnswer>> Search(
       PrincipalId principal, const std::vector<std::string>& terms);
 
@@ -127,10 +131,12 @@ class QueryEngine {
 
   /// \brief Per-item visibility mask of one execution for the principal,
   /// served from the privacy-view cache when possible. The mask depends
-  /// only on the immutable execution entry and the principal's cache
-  /// group, so hits are exact.
+  /// only on the immutable execution entry and the principal's level, so
+  /// hits are exact and shared by every principal at that level. When
+  /// `cache_hit` is given, it is set to whether the view cache served the
+  /// mask.
   Result<std::shared_ptr<const MaskingReport>> ExecutionMask(
-      PrincipalId principal, ExecutionId exec_id);
+      PrincipalId principal, ExecutionId exec_id, bool* cache_hit = nullptr);
 
   /// \brief Evicts every memoized view derived from `spec_id` (its
   /// access/structural views and its executions' zoom-outs/masks). The
@@ -146,16 +152,12 @@ class QueryEngine {
   const InvertedIndex& index() const { return index_; }
 
  private:
-  /// Cache partition tag: group + level (two principals share answers
-  /// only when both match).
-  Result<std::string> CacheGroup(PrincipalId principal) const;
-
   /// Advances the pinned view/index to cover at least `repo_`'s epoch
   /// as observed on entry. See class comment.
   void CatchUp();
 
   /// Shared answer rendering: zoom out for structural policy (memoized
-  /// per (exec, cache-group) when the view cache is on), restrict to
+  /// per (exec, level) when the view cache is on), restrict to
   /// `cone_nodes`, mask values; `item` (when valid) is appended as an
   /// explicit final row. `cut_epoch` is the serving cut's epoch, the
   /// floor stamped on any cached zoom-out.
@@ -184,10 +186,11 @@ class QueryEngine {
   InvertedIndex index_;
   TfIdfScorer scorer_;
 
-  /// The result cache has its own lock so cache bookkeeping never
-  /// serializes whole queries.
+  /// The keyword result cache holds decoded answers, partitioned by
+  /// level. It has its own lock so cache bookkeeping never serializes
+  /// whole queries.
   mutable std::mutex cache_mu_;
-  ResultCache cache_;
+  BasicResultCache<std::vector<KeywordAnswer>> cache_;
 };
 
 }  // namespace paw

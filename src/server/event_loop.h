@@ -79,7 +79,7 @@ struct Connection : std::enable_shared_from_this<Connection> {
   AccessLevel level = 0;
   /// Principal name from the AUTH request (span and slow-log attribution).
   std::string principal_name;
-  /// Principal's cache/sharing group (audit-event attribution).
+  /// Principal's group (audit-event attribution only).
   std::string group;
 };
 

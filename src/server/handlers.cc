@@ -237,6 +237,7 @@ Result<Reply> HandleGetExecution(ServerCore& s, Request& req) {
   QueryEngine* engine = s.engines[static_cast<size_t>(info.ref.shard)].get();
   const ExecutionEntry* found = nullptr;
   std::shared_ptr<const MaskingReport> mask;
+  bool cache_hit = false;
   {
     // Shared lease: the lookup runs on the engine's pinned cut, and the
     // returned entry is immutable/address-stable, so the lease drops as
@@ -251,36 +252,18 @@ Result<Reply> HandleGetExecution(ServerCore& s, Request& req) {
     found = by_ordinal.value();
     // Per-item visibility from the privacy-view cache: the mask set
     // depends only on the immutable execution entry and the principal's
-    // cache group, so repeated GET_EXECUTIONs skip ComputeMasking.
-    PAW_ASSIGN_OR_RETURN(mask,
-                         engine->ExecutionMask(req.conn.principal, found->id));
+    // level, so every principal at that level shares it and repeated
+    // GET_EXECUTIONs skip ComputeMasking.
+    PAW_ASSIGN_OR_RETURN(mask, engine->ExecutionMask(req.conn.principal,
+                                                     found->id, &cache_hit));
   }
-  // use_count > 1 means the privacy-view cache also holds this report —
-  // i.e. the mask was served memoized, not recomputed.
-  const bool cache_hit = mask.use_count() > 1;
-  // Re-render the execution with every item value the principal may not
-  // see replaced by the mask — identity and structure stay queryable,
-  // contents stay hidden (data privacy, paper Sec. 3).
+  // Render the stored execution with every item value the principal may
+  // not see replaced by the mask — identity and structure stay
+  // queryable, contents stay hidden (data privacy, paper Sec. 3).
   const MaskingReport& report = *mask;
-  const Execution& exec = found->exec;
-  Execution masked(info.entry->spec);
-  for (const ExecNode& node : exec.nodes()) {
-    masked.AddNode(node.kind, node.module, node.process_id, node.enclosing);
-  }
-  for (const DataItem& item : exec.items()) {
-    const bool visible = report.visible[static_cast<size_t>(item.id.value())];
-    masked.AddItem(item.label, item.producer,
-                   visible ? item.value : std::string(kMaskedValue));
-  }
-  const Digraph& g = exec.graph();
-  for (NodeIndex u = 0; u < g.num_nodes(); ++u) {
-    for (NodeIndex v : g.OutNeighbors(u)) {
-      (void)masked.AddFlow(ExecNodeId(u), ExecNodeId(v),
-                           exec.ItemsOn(ExecNodeId(u), ExecNodeId(v)));
-    }
-  }
   wire::GetExecutionResponse resp;
-  resp.exec_text = SerializeExecution(masked);
+  resp.exec_text =
+      SerializeExecution(found->exec, report.visible, kMaskedValue);
   resp.num_masked = report.num_masked;
   return Reply{EncodeGetExecutionResponse(resp),
                report.num_masked > 0 ? AuditVerdict::kMasked

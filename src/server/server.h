@@ -74,8 +74,9 @@ namespace paw {
 struct ServerPrincipal {
   std::string name;
   AccessLevel level = 0;
-  /// Cache/sharing group (two principals share cached answers only
-  /// within one group + level).
+  /// Group for audit attribution (`g=group@level`). Cached privacy
+  /// answers are shared by every principal at one level, whatever the
+  /// group.
   std::string group;
 };
 

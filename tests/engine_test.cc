@@ -4,16 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/privacy/data_privacy.h"
 #include "src/privacy/view_cache.h"
+#include "src/query/keyword_search.h"
 #include "src/repo/disease.h"
 #include "src/repo/workload.h"
 
 namespace paw {
 namespace {
+
+/// Field-by-field equality of two keyword answer lists, score exact.
+void ExpectSameAnswers(const std::vector<KeywordAnswer>& got,
+                       const std::vector<KeywordAnswer>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].spec_id, want[i].spec_id);
+    EXPECT_EQ(got[i].prefix, want[i].prefix);
+    EXPECT_EQ(got[i].matched, want[i].matched);
+    EXPECT_EQ(got[i].view_size, want[i].view_size);
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
+}
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -52,13 +70,23 @@ TEST_F(EngineTest, SearchRespectsLevels) {
   EXPECT_TRUE(for_public.value().empty());
 }
 
-TEST_F(EngineTest, SearchCachePartitionedByGroupAndLevel) {
-  ASSERT_TRUE(engine_->Search(owner_, {"reformat"}).ok());
+TEST_F(EngineTest, SearchCacheSharedAcrossGroupsAtOneLevel) {
+  auto for_owner = engine_->Search(owner_, {"disorder"});
+  ASSERT_TRUE(for_owner.ok());
+  ASSERT_FALSE(for_owner.value().empty());
   EXPECT_EQ(engine_->cache_stats().misses, 1);
-  ASSERT_TRUE(engine_->Search(owner_, {"reformat"}).ok());
+  ASSERT_TRUE(engine_->Search(owner_, {"disorder"}).ok());
   EXPECT_EQ(engine_->cache_stats().hits, 1);
-  // The analyst shares the group but not the level: separate partition.
-  ASSERT_TRUE(engine_->Search(analyst_, {"reformat"}).ok());
+  // Same level, another group: the owner's entry serves it unchanged.
+  const PrincipalId clinician =
+      acl_.AddPrincipal("clinician", 2, "clinic").value();
+  auto for_clinician = engine_->Search(clinician, {"disorder"});
+  ASSERT_TRUE(for_clinician.ok());
+  EXPECT_EQ(engine_->cache_stats().hits, 2);
+  EXPECT_EQ(engine_->cache_stats().misses, 1);
+  ExpectSameAnswers(for_clinician.value(), for_owner.value());
+  // The analyst shares the owner's group but not the level: a miss.
+  ASSERT_TRUE(engine_->Search(analyst_, {"disorder"}).ok());
   EXPECT_EQ(engine_->cache_stats().misses, 2);
 }
 
@@ -185,18 +213,8 @@ TEST_F(EngineTest, CacheHitServesIdenticalAnswers) {
   auto second = engine_->Search(owner_, {"disorder"});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(engine_->cache_stats().hits, 1);
-  // The hit is served from the serialized cache entry; it must decode
-  // to exactly what the cold query computed.
-  ASSERT_EQ(second.value().size(), first.value().size());
-  for (size_t i = 0; i < first.value().size(); ++i) {
-    const KeywordAnswer& a = first.value()[i];
-    const KeywordAnswer& b = second.value()[i];
-    EXPECT_EQ(b.spec_id, a.spec_id);
-    EXPECT_EQ(b.prefix, a.prefix);
-    EXPECT_EQ(b.matched, a.matched);
-    EXPECT_EQ(b.view_size, a.view_size);
-    EXPECT_DOUBLE_EQ(b.score, a.score);
-  }
+  // The hit must be exactly what the cold query computed.
+  ExpectSameAnswers(second.value(), first.value());
 }
 
 TEST_F(EngineTest, SpecAppendInvalidatesCachedAnswers) {
@@ -336,7 +354,7 @@ TEST_F(EngineTest, InvalidateSpecViewsEvictsOnlyThatSpec) {
   EXPECT_EQ(local.stats().misses, misses + 1);
 }
 
-TEST_F(EngineTest, ExecutionMaskIsCachedPerGroup) {
+TEST_F(EngineTest, ExecutionMaskIsCachedPerLevel) {
   PrivacyViewCache local;
   EngineOptions opts;
   opts.view_cache_instance = &local;
@@ -347,17 +365,75 @@ TEST_F(EngineTest, ExecutionMaskIsCachedPerGroup) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(local.stats().hits, 1u);
   EXPECT_EQ(second.value()->visible, first.value()->visible);
-  // A different level is a different cache group — and a different
-  // mask.
+  // A different level is a different entry — and a different mask.
   auto for_owner = engine.ExecutionMask(owner_, exec_id_);
   ASSERT_TRUE(for_owner.ok());
   EXPECT_GT(for_owner.value()->num_visible, first.value()->num_visible);
   EXPECT_FALSE(engine.ExecutionMask(analyst_, ExecutionId(99)).ok());
 }
 
+TEST_F(EngineTest, PrivacyViewsSharedAcrossGroupsAtOneLevel) {
+  PrivacyViewCache local;
+  EngineOptions opts;
+  opts.view_cache_instance = &local;
+  QueryEngine engine(repo_, acl_, opts);
+  // The analyst is level 1 in "lab"; the clinician is level 1 in
+  // "clinic". Each view the analyst's call memoizes must serve the
+  // clinician's call as a hit, with the same answer.
+  const PrincipalId clinician =
+      acl_.AddPrincipal("clinician", 1, "clinic").value();
+
+  auto lab_lineage = engine.Lineage(analyst_, exec_id_, DataItemId(19));
+  ASSERT_TRUE(lab_lineage.ok()) << lab_lineage.status().ToString();
+  uint64_t hits = local.stats().hits;
+  auto clinic_lineage = engine.Lineage(clinician, exec_id_, DataItemId(19));
+  ASSERT_TRUE(clinic_lineage.ok());
+  EXPECT_EQ(local.stats().hits, hits + 1);
+  EXPECT_EQ(clinic_lineage.value().prefix, lab_lineage.value().prefix);
+  EXPECT_EQ(clinic_lineage.value().zoom_steps,
+            lab_lineage.value().zoom_steps);
+  EXPECT_EQ(clinic_lineage.value().rows, lab_lineage.value().rows);
+
+  StructuralPattern pattern;
+  pattern.vars = {{"expand snp"}, {"consult external"}};
+  pattern.edges = {{0, 1, true}};
+  auto lab_matches = engine.Structural(analyst_, spec_id_, pattern);
+  ASSERT_TRUE(lab_matches.ok());
+  ASSERT_FALSE(lab_matches.value().empty());
+  hits = local.stats().hits;
+  auto clinic_matches = engine.Structural(clinician, spec_id_, pattern);
+  ASSERT_TRUE(clinic_matches.ok());
+  EXPECT_EQ(local.stats().hits, hits + 1);
+  ASSERT_EQ(clinic_matches.value().size(), lab_matches.value().size());
+  for (size_t m = 0; m < lab_matches.value().size(); ++m) {
+    EXPECT_EQ(clinic_matches.value()[m].binding,
+              lab_matches.value()[m].binding);
+  }
+
+  bool cache_hit = true;
+  auto lab_mask = engine.ExecutionMask(analyst_, exec_id_, &cache_hit);
+  ASSERT_TRUE(lab_mask.ok());
+  EXPECT_FALSE(cache_hit);
+  hits = local.stats().hits;
+  auto clinic_mask = engine.ExecutionMask(clinician, exec_id_, &cache_hit);
+  ASSERT_TRUE(clinic_mask.ok());
+  EXPECT_TRUE(cache_hit);
+  EXPECT_EQ(local.stats().hits, hits + 1);
+  // Not merely equal: the one memoized report serves both groups.
+  EXPECT_EQ(clinic_mask.value().get(), lab_mask.value().get());
+
+  // The owner shares the analyst's group but not the level: a miss.
+  const uint64_t misses = local.stats().misses;
+  ASSERT_TRUE(engine.ExecutionMask(owner_, exec_id_).ok());
+  EXPECT_EQ(local.stats().misses, misses + 1);
+}
+
 // Randomized equivalence: a view-cache-enabled engine and a
 // cache-disabled engine must give byte-identical answers across random
-// policy / level / principal / query mixes over generated workloads.
+// policy / level / principal / query mixes over generated workloads, and
+// every cached keyword search must equal the search run directly at the
+// principal's level. The principals span two groups per level, so the
+// level-keyed memos are shared across groups throughout.
 TEST(EngineViewCacheFuzzTest, CachedAnswersMatchUncached) {
   Repository repo;
   AccessControl acl;
@@ -422,11 +498,23 @@ TEST(EngineViewCacheFuzzTest, CachedAnswersMatchUncached) {
   plain_opts.view_cache = false;
   QueryEngine plain(repo, acl, plain_opts);
 
+  // The reference for KEYWORD_SEARCH: the search itself, run directly
+  // at the principal's level on a fresh cut, with no result cache. It is
+  // memoized per (level, term) because an uncached search of these specs
+  // enumerates large prefix lattices (hundreds of ms unoptimized).
+  const RepositoryView cut = repo.View();
+  InvertedIndex index;
+  index.Build(cut);
+  TfIdfScorer scorer;
+  scorer.Build(index);
+  std::map<std::pair<AccessLevel, std::string>, std::vector<KeywordAnswer>>
+      reference;
+
   Rng fuzz(99);
   for (int i = 0; i < 150; ++i) {
     const PrincipalId p =
         principals[fuzz.Uniform(principals.size())];
-    switch (fuzz.Uniform(3)) {
+    switch (fuzz.Uniform(4)) {
       case 0: {
         const int sid =
             spec_ids[fuzz.Uniform(spec_ids.size())];
@@ -469,8 +557,25 @@ TEST(EngineViewCacheFuzzTest, CachedAnswersMatchUncached) {
         EXPECT_EQ(a.value()->num_visible, b.value()->num_visible);
         break;
       }
+      case 3: {
+        const std::string term = "kw" + std::to_string(fuzz.Uniform(2));
+        const AccessLevel level = acl.Get(p).value().level;
+        auto a = cached.Search(p, {term});
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        auto [want, fresh] = reference.try_emplace({level, term});
+        if (fresh) {
+          auto b = KeywordSearch(cut, &index, &scorer, {term}, level);
+          ASSERT_TRUE(b.ok()) << b.status().ToString();
+          want->second = std::move(b).value();
+        }
+        ExpectSameAnswers(a.value(), want->second);
+        break;
+      }
     }
   }
+  // Keyword terms repeat across principals of one level, so the result
+  // cache served some searches.
+  EXPECT_GT(cached.cache_stats().hits, 0);
   // The mix repeats (principal-group, entry) pairs, so the cached
   // engine must actually have served from the cache.
   EXPECT_GT(local.stats().hits, 0u);

@@ -5,13 +5,56 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "src/privacy/data_privacy.h"
 #include "src/repo/disease.h"
 #include "src/repo/workload.h"
 #include "src/workflow/builder.h"
 
 namespace paw {
 namespace {
+
+/// The reference masked render: a copy of `exec` with every hidden
+/// value replaced by the placeholder (nodes, items and flows rebuilt in
+/// their stored order), serialized without a mask.
+std::string MaskedCopyRender(const Execution& exec,
+                             const MaskingReport& report) {
+  Execution masked(exec.spec());
+  for (const ExecNode& node : exec.nodes()) {
+    masked.AddNode(node.kind, node.module, node.process_id, node.enclosing);
+  }
+  for (const DataItem& item : exec.items()) {
+    const bool visible = report.visible[static_cast<size_t>(item.id.value())];
+    masked.AddItem(item.label, item.producer,
+                   visible ? item.value : std::string(kMaskedValue));
+  }
+  const Digraph& g = exec.graph();
+  for (NodeIndex u = 0; u < g.num_nodes(); ++u) {
+    for (NodeIndex v : g.OutNeighbors(u)) {
+      EXPECT_TRUE(masked
+                      .AddFlow(ExecNodeId(u), ExecNodeId(v),
+                               exec.ItemsOn(ExecNodeId(u), ExecNodeId(v)))
+                      .ok());
+    }
+  }
+  return SerializeExecution(masked);
+}
+
+/// Checks the in-place masked render against the reference at levels
+/// 0-3; returns how many of those levels masked at least one value.
+int ExpectMaskedRenderMatchesCopy(const Execution& exec,
+                                  const DataPolicy& policy) {
+  int masking_levels = 0;
+  for (AccessLevel level = 0; level <= 3; ++level) {
+    const MaskingReport mask = ComputeMasking(exec, policy, level);
+    EXPECT_EQ(SerializeExecution(exec, mask.visible, kMaskedValue),
+              MaskedCopyRender(exec, mask))
+        << "level " << level;
+    if (mask.num_masked > 0) ++masking_levels;
+  }
+  return masking_levels;
+}
 
 class ExecSerializeTest : public ::testing::Test {
  protected:
@@ -62,6 +105,10 @@ TEST_F(ExecSerializeTest, RoundTripPreservesSemantics) {
   }
 }
 
+TEST_F(ExecSerializeTest, MaskedRenderMatchesMaskedCopy) {
+  EXPECT_GT(ExpectMaskedRenderMatchesCopy(*exec_, DiseasePolicy().data), 0);
+}
+
 TEST_F(ExecSerializeTest, RejectsWrongSpec) {
   std::string text = SerializeExecution(*exec_);
   SpecBuilder b("other");
@@ -103,6 +150,33 @@ TEST(ExecSerializeGeneratedTest, GeneratedExecutionsRoundTrip) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(SerializeExecution(parsed.value()), text);
   }
+}
+
+TEST(ExecSerializeGeneratedTest, MaskedRenderMatchesMaskedCopy) {
+  Rng rng(2028);
+  WorkloadParams params;
+  params.depth = 2;
+  int masking_levels = 0;
+  for (int trial = 0; trial < 5; ++trial) {
+    auto spec = GenerateSpec(params, &rng, "m" + std::to_string(trial));
+    ASSERT_TRUE(spec.ok());
+    auto exec = GenerateExecution(spec.value(), &rng);
+    ASSERT_TRUE(exec.ok());
+    // Policies: everything public, everything at level 2, and a random
+    // level per label.
+    DataPolicy open;
+    DataPolicy closed;
+    closed.default_level = 2;
+    DataPolicy mixed;
+    mixed.default_level = 1;
+    for (const DataItem& item : exec.value().items()) {
+      mixed.label_level[item.label] = static_cast<AccessLevel>(rng.Uniform(4));
+    }
+    for (const DataPolicy* policy : {&open, &closed, &mixed}) {
+      masking_levels += ExpectMaskedRenderMatchesCopy(exec.value(), *policy);
+    }
+  }
+  EXPECT_GT(masking_levels, 0);
 }
 
 }  // namespace

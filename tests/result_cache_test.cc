@@ -1,4 +1,4 @@
-// Tests for the group-partitioned LRU result cache.
+// Tests for the partitioned LRU result cache.
 
 #include "src/index/result_cache.h"
 
@@ -45,18 +45,6 @@ TEST(ResultCacheTest, OverwriteRefreshes) {
   cache.Put("g", "a", "new");
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(*cache.Get("g", "a"), "new");
-}
-
-TEST(ResultCacheTest, InvalidateGroup) {
-  ResultCache cache(8);
-  cache.Put("g1", "a", "1");
-  cache.Put("g1", "b", "2");
-  cache.Put("g2", "a", "3");
-  cache.InvalidateGroup("g1");
-  EXPECT_FALSE(cache.Get("g1", "a").has_value());
-  EXPECT_FALSE(cache.Get("g1", "b").has_value());
-  EXPECT_TRUE(cache.Get("g2", "a").has_value());
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResultCacheTest, CapacityOneStillWorks) {

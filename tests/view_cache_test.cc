@@ -91,14 +91,14 @@ std::shared_ptr<const MaskingReport> MakeMask(int visible) {
 TEST(PrivacyViewCacheTest, MaskingRoundTrip) {
   PrivacyViewCache cache;
   const uint64_t ns = PrivacyViewCache::NewNamespace();
-  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), "g@1", 5), nullptr);
-  cache.PutMasking(ns, ExecutionId(0), /*spec_id=*/0, "g@1",
+  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), /*level=*/1, 5), nullptr);
+  cache.PutMasking(ns, ExecutionId(0), /*spec_id=*/0, /*level=*/1,
                    /*cut_epoch=*/5, MakeMask(3));
-  auto hit = cache.GetMasking(ns, ExecutionId(0), "g@1", 5);
+  auto hit = cache.GetMasking(ns, ExecutionId(0), 1, 5);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->num_visible, 3);
-  // Same execution, different cache group: distinct entry.
-  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), "g@2", 5), nullptr);
+  // Same execution, different level: distinct entry.
+  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), 2, 5), nullptr);
   const PrivacyViewCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -107,16 +107,16 @@ TEST(PrivacyViewCacheTest, MaskingRoundTrip) {
 TEST(PrivacyViewCacheTest, EpochFloorRejectsEntriesAboveTheCut) {
   PrivacyViewCache cache;
   const uint64_t ns = PrivacyViewCache::NewNamespace();
-  cache.PutMasking(ns, ExecutionId(7), 0, "g@1", /*cut_epoch=*/10,
+  cache.PutMasking(ns, ExecutionId(7), 0, /*level=*/1, /*cut_epoch=*/10,
                    MakeMask(1));
   // A reader whose cut is older than the entry must not see it (the
   // entry is from that reader's "future"); the stale entry is dropped.
-  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(7), "g@1", 9), nullptr);
-  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(7), "g@1", 10), nullptr);
+  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(7), 1, 9), nullptr);
+  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(7), 1, 10), nullptr);
   // Readers at or past the entry's epoch hit.
-  cache.PutMasking(ns, ExecutionId(7), 0, "g@1", 10, MakeMask(1));
-  EXPECT_NE(cache.GetMasking(ns, ExecutionId(7), "g@1", 10), nullptr);
-  EXPECT_NE(cache.GetMasking(ns, ExecutionId(7), "g@1", 11), nullptr);
+  cache.PutMasking(ns, ExecutionId(7), 0, 1, 10, MakeMask(1));
+  EXPECT_NE(cache.GetMasking(ns, ExecutionId(7), 1, 10), nullptr);
+  EXPECT_NE(cache.GetMasking(ns, ExecutionId(7), 1, 11), nullptr);
 }
 
 TEST(PrivacyViewCacheTest, InvalidateSpecDropsExactlyThatSpec) {
@@ -137,17 +137,15 @@ TEST(PrivacyViewCacheTest, InvalidateSpecDropsExactlyThatSpec) {
   const uint64_t ns = PrivacyViewCache::NewNamespace();
   // Spec 1: one spec-keyed view and one exec-keyed mask. Spec 2: one
   // exec-keyed mask for a different execution.
-  cache.PutSpecView(ns, /*spec_id=*/1, "g@2", 3, shared_view);
-  cache.PutMasking(ns, ExecutionId(0), /*spec_id=*/1, "g@2", 3,
-                   MakeMask(2));
-  cache.PutMasking(ns, ExecutionId(1), /*spec_id=*/2, "g@2", 3,
-                   MakeMask(4));
+  cache.PutSpecView(ns, /*spec_id=*/1, /*level=*/2, 3, shared_view);
+  cache.PutMasking(ns, ExecutionId(0), /*spec_id=*/1, 2, 3, MakeMask(2));
+  cache.PutMasking(ns, ExecutionId(1), /*spec_id=*/2, 2, 3, MakeMask(4));
 
   EXPECT_EQ(cache.InvalidateSpec(ns, 1), 2u);
-  EXPECT_EQ(cache.GetSpecView(ns, 1, "g@2", 3), nullptr);
-  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), "g@2", 3), nullptr);
+  EXPECT_EQ(cache.GetSpecView(ns, 1, 2, 3), nullptr);
+  EXPECT_EQ(cache.GetMasking(ns, ExecutionId(0), 2, 3), nullptr);
   // The other spec's entries survive.
-  EXPECT_NE(cache.GetMasking(ns, ExecutionId(1), "g@2", 3), nullptr);
+  EXPECT_NE(cache.GetMasking(ns, ExecutionId(1), 2, 3), nullptr);
   EXPECT_GT(ApproxViewBytes(*shared_view), 0u);
 }
 
@@ -156,23 +154,21 @@ TEST(PrivacyViewCacheTest, NamespacesIsolateEngines) {
   const uint64_t ns1 = PrivacyViewCache::NewNamespace();
   const uint64_t ns2 = PrivacyViewCache::NewNamespace();
   EXPECT_NE(ns1, ns2);
-  cache.PutMasking(ns1, ExecutionId(0), 0, "g@1", 1, MakeMask(1));
-  cache.PutMasking(ns2, ExecutionId(0), 0, "g@1", 1, MakeMask(9));
-  // Same (exec, group, epoch), different namespace: no aliasing.
-  EXPECT_EQ(cache.GetMasking(ns1, ExecutionId(0), "g@1", 1)->num_visible,
-            1);
-  EXPECT_EQ(cache.GetMasking(ns2, ExecutionId(0), "g@1", 1)->num_visible,
-            9);
+  cache.PutMasking(ns1, ExecutionId(0), 0, /*level=*/1, 1, MakeMask(1));
+  cache.PutMasking(ns2, ExecutionId(0), 0, /*level=*/1, 1, MakeMask(9));
+  // Same (exec, level, epoch), different namespace: no aliasing.
+  EXPECT_EQ(cache.GetMasking(ns1, ExecutionId(0), 1, 1)->num_visible, 1);
+  EXPECT_EQ(cache.GetMasking(ns2, ExecutionId(0), 1, 1)->num_visible, 9);
   EXPECT_EQ(cache.InvalidateNamespace(ns1), 1u);
-  EXPECT_EQ(cache.GetMasking(ns1, ExecutionId(0), "g@1", 1), nullptr);
-  EXPECT_NE(cache.GetMasking(ns2, ExecutionId(0), "g@1", 1), nullptr);
+  EXPECT_EQ(cache.GetMasking(ns1, ExecutionId(0), 1, 1), nullptr);
+  EXPECT_NE(cache.GetMasking(ns2, ExecutionId(0), 1, 1), nullptr);
 }
 
 TEST(PrivacyViewCacheTest, ByteBudgetBoundsResidentBytes) {
   PrivacyViewCache cache(/*byte_budget=*/16 * 1024);
   const uint64_t ns = PrivacyViewCache::NewNamespace();
   for (int i = 0; i < 200; ++i) {
-    cache.PutMasking(ns, ExecutionId(i), 0, "g@1", 1, MakeMask(64));
+    cache.PutMasking(ns, ExecutionId(i), 0, /*level=*/1, 1, MakeMask(64));
   }
   const PrivacyViewCache::Stats stats = cache.stats();
   EXPECT_LE(stats.bytes, 16u * 1024u);
@@ -188,13 +184,13 @@ TEST(PrivacyViewCacheTest, ConcurrentMixedUseIsSafe) {
     threads.emplace_back([&cache, ns, t] {
       for (int i = 0; i < 500; ++i) {
         const ExecutionId exec(i % 37);
-        const std::string group = "g" + std::to_string(t % 2) + "@1";
+        const AccessLevel level = t % 2;
         if (i % 7 == 0) {
-          cache.PutMasking(ns, exec, i % 5, group, 1, MakeMask(i % 16));
+          cache.PutMasking(ns, exec, i % 5, level, 1, MakeMask(i % 16));
         } else if (i % 31 == 0) {
           cache.InvalidateSpec(ns, i % 5);
         } else {
-          auto hit = cache.GetMasking(ns, exec, group, 1);
+          auto hit = cache.GetMasking(ns, exec, level, 1);
           if (hit != nullptr) {
             // Values stay internally consistent under concurrency.
             EXPECT_EQ(hit->num_visible,

@@ -17,7 +17,8 @@
 # E11/E12/E13/E14, E11 gated <= 5% observability overhead against a
 # PAW_NO_METRICS + PAW_NO_TRACE baseline build, E13 gated >= 3x cached
 # lineage/structural p50; E12's p99 ratio and E14's follower scaling
-# are advisory in --smoke),
+# are advisory in --smoke), server_test in the PAW_NO_METRICS +
+# PAW_NO_TRACE tree (built with -Werror),
 # an ASan+UBSan build of the store/server test binaries, and a TSan
 # build of the concurrency suites (group-commit WAL, writer queues,
 # background compaction, server, replication, metrics registry).
@@ -307,6 +308,18 @@ wait "$PROMO_PID" 2>/dev/null || true
 "$PAWCTL" open "$SMOKE_DIR/fol" threads=4 | tee "$SMOKE_DIR/promo_open.out"
 grep -q "executions:  245" "$SMOKE_DIR/promo_open.out"
 
+echo "== no-observability server tests =="
+# The PAW_NO_METRICS + PAW_NO_TRACE tree builds with -Werror:
+# compiled-out instrumentation must leave no unused names. server_test
+# runs there too (its metric and span assertions are guarded), so the
+# request path is checked with the observability stack compiled out.
+# bench_server's overhead gate below reuses this tree as its baseline.
+NOMETRICS_BUILD_DIR="${NOMETRICS_BUILD_DIR:-build-nometrics}"
+cmake -B "$NOMETRICS_BUILD_DIR" -S . -DPAW_NO_METRICS=ON \
+  -DPAW_NO_TRACE=ON -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$NOMETRICS_BUILD_DIR" -j "$JOBS" --target server_test
+"$NOMETRICS_BUILD_DIR/server_test" --gtest_brief=1
+
 echo "== bench smoke (BENCH_store.json) =="
 if [[ -x "$BUILD_DIR/bench_store" ]]; then
   BENCH_BIN="$(pwd)/$BUILD_DIR/bench_store"
@@ -365,13 +378,10 @@ if [[ -x "$BUILD_DIR/bench_server" ]]; then
   # window, while a genuine hot-path regression caps the instrumented
   # ceiling across every run. One retry absorbs a pathologically busy
   # window.
-  # The baseline compiles out BOTH metrics and the span flight
-  # recorder, so the gate prices the full observability stack
-  # (counters + tracing at default sampling) at once. It builds with
-  # -Werror: compiled-out instrumentation must leave no unused names.
-  NOMETRICS_BUILD_DIR="${NOMETRICS_BUILD_DIR:-build-nometrics}"
-  cmake -B "$NOMETRICS_BUILD_DIR" -S . -DPAW_NO_METRICS=ON \
-    -DPAW_NO_TRACE=ON -DCMAKE_CXX_FLAGS=-Werror
+  # The baseline is the no-observability tree configured above: it
+  # compiles out BOTH metrics and the span flight recorder, so the gate
+  # prices the full observability stack (counters + tracing at default
+  # sampling) at once.
   cmake --build "$NOMETRICS_BUILD_DIR" -j "$JOBS" --target bench_server
   BASE_BIN="$(pwd)/$NOMETRICS_BUILD_DIR/bench_server"
   gate_attempt() {
