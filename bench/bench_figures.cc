@@ -93,7 +93,7 @@ void ReproduceFigures() {
     auto view = CollapseExecution(e, h, h.RootPrefix());
     Check(view.ok() && view.value().num_nodes() == 4,
           "collapsed view has I, S1:M1, S8:M2, O");
-    Check(view.ok() && view.value().graph().num_edges() == 4,
+    Check(view.ok() && view.value().num_edges() == 4,
           "collapsed view has 4 edges");
   }
 

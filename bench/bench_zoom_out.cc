@@ -51,9 +51,11 @@ World BuildWorld(int depth, uint64_t seed) {
 int64_t ViewBytes(const ExecView& view) {
   int64_t bytes = view.num_nodes() *
                   static_cast<int64_t>(sizeof(ExecViewNode));
-  for (const auto& [u, v] : view.graph().Edges()) {
-    bytes += 16;
-    bytes += static_cast<int64_t>(view.ItemsOn(u, v).size()) * 4;
+  for (NodeIndex u = 0; u < view.num_nodes(); ++u) {
+    for (NodeIndex v : view.OutNeighbors(u)) {
+      bytes += 16;
+      bytes += static_cast<int64_t>(view.ItemsOn(u, v).size()) * 4;
+    }
   }
   return bytes;
 }

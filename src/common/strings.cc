@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 namespace paw {
 
@@ -77,13 +78,29 @@ bool TokensContainPhrase(const std::vector<std::string>& text_tokens,
 }
 
 std::string QuoteField(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out += "\"";
+  std::string out;
+  AppendQuotedField(s, &out);
   return out;
+}
+
+void AppendQuotedField(std::string_view s, std::string* out) {
+  constexpr std::string_view kEscaped = "\"\\";
+  out->push_back('"');
+  size_t run = 0;  // start of the run not yet appended
+  for (size_t i = s.find_first_of(kEscaped); i != std::string_view::npos;
+       i = s.find_first_of(kEscaped, i + 1)) {
+    out->append(s.substr(run, i - run));
+    out->push_back('\\');
+    run = i;
+  }
+  out->append(s.substr(run));
+  out->push_back('"');
+}
+
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
 }
 
 Result<std::vector<std::string>> SplitFields(const std::string& line) {

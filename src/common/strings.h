@@ -5,6 +5,7 @@
 /// \brief Small string utilities used across the library (tokenization for
 /// keyword search, joining for diagnostics, trimming for the serializer).
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +46,12 @@ bool TokensContainPhrase(const std::vector<std::string>& text_tokens,
 
 /// \brief Wraps `s` in double quotes, escaping `"` and `\`.
 std::string QuoteField(const std::string& s);
+
+/// \brief Appends `QuoteField(s)` to `out` without a temporary.
+void AppendQuotedField(std::string_view s, std::string* out);
+
+/// \brief Appends the decimal form of `v` to `out`.
+void AppendInt(int64_t v, std::string* out);
 
 /// \brief Splits a serializer line into fields (see syntax above).
 Result<std::vector<std::string>> SplitFields(const std::string& line);

@@ -208,17 +208,8 @@ size_t ApproxViewBytes(const SpecView& view) {
 }
 
 size_t ApproxViewBytes(const ExecZoomOutResult& zoom) {
-  size_t b = sizeof(ExecZoomOutResult);
-  const ExecView& view = zoom.view;
-  b += static_cast<size_t>(view.num_nodes()) * (sizeof(ExecViewNode) + 16);
-  b += static_cast<size_t>(view.graph().num_edges()) * 64;
-  for (const auto& [u, v] : view.graph().Edges()) {
-    b += view.ItemsOn(u, v).size() * sizeof(DataItemId);
-  }
-  b += static_cast<size_t>(view.execution().num_nodes()) *
-       sizeof(NodeIndex);
-  b += zoom.final_prefix.size() * 32;
-  return b;
+  return sizeof(ExecZoomOutResult) + zoom.view.HeapBytes() +
+         zoom.final_prefix.size() * 32;
 }
 
 size_t ApproxViewBytes(const MaskingReport& mask) {

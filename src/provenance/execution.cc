@@ -26,6 +26,9 @@ std::string_view ExecNodeKindName(ExecNodeKind kind) {
 ExecNodeId Execution::AddNode(ExecNodeKind kind, ModuleId module,
                               int process_id, ExecNodeId enclosing) {
   ExecNodeId id(static_cast<int32_t>(nodes_.size()));
+  PAW_CHECK(enclosing.value() >= -1 && enclosing.value() < id.value())
+      << "enclosing node " << enclosing.value() << " does not precede node "
+      << id.value();
   nodes_.push_back(ExecNode{id, kind, module, process_id, enclosing});
   NodeIndex gi = graph_.AddNode();
   PAW_CHECK(gi == id.value()) << "graph/node id desync";
@@ -66,20 +69,24 @@ const std::vector<DataItemId>& Execution::ItemsOn(ExecNodeId from,
 }
 
 std::string Execution::NodeLabel(ExecNodeId id) const {
+  std::string out;
+  AppendNodeLabel(id, &out);
+  return out;
+}
+
+void Execution::AppendNodeLabel(ExecNodeId id, std::string* out) const {
   const ExecNode& n = node(id);
   const Module& m = spec_->module(n.module);
-  switch (n.kind) {
-    case ExecNodeKind::kInput:
-    case ExecNodeKind::kOutput:
-      return m.code;
-    case ExecNodeKind::kAtomic:
-      return "S" + std::to_string(n.process_id) + ":" + m.code;
-    case ExecNodeKind::kBegin:
-      return "S" + std::to_string(n.process_id) + ":" + m.code + " begin";
-    case ExecNodeKind::kEnd:
-      return "S" + std::to_string(n.process_id) + ":" + m.code + " end";
+  if (n.kind == ExecNodeKind::kInput || n.kind == ExecNodeKind::kOutput) {
+    out->append(m.code);
+    return;
   }
-  return "?";
+  out->push_back('S');
+  out->append(std::to_string(n.process_id));
+  out->push_back(':');
+  out->append(m.code);
+  if (n.kind == ExecNodeKind::kBegin) out->append(" begin");
+  if (n.kind == ExecNodeKind::kEnd) out->append(" end");
 }
 
 std::string Execution::ItemName(DataItemId id) {

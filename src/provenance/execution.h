@@ -66,6 +66,8 @@ class Execution {
   // ---- Construction (used by the executor) ----
 
   /// \brief Adds a node; returns its id (== its graph node index).
+  /// `enclosing` must be invalid or name an earlier node (checked), so
+  /// every enclosing chain ends and precedes the node.
   ExecNodeId AddNode(ExecNodeKind kind, ModuleId module, int process_id,
                      ExecNodeId enclosing);
 
@@ -100,6 +102,9 @@ class Execution {
 
   /// \brief Display label: "I", "O", "S1:M1 begin", "S4:M5", ...
   std::string NodeLabel(ExecNodeId id) const;
+
+  /// \brief Appends `NodeLabel(id)` to `out`.
+  void AppendNodeLabel(ExecNodeId id, std::string* out) const;
 
   /// \brief Display name of an item: "d0", "d17", ...
   static std::string ItemName(DataItemId id);

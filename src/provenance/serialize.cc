@@ -1,6 +1,6 @@
 #include "src/provenance/serialize.h"
 
-#include <sstream>
+#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -12,31 +12,60 @@ std::string SerializeExecution(const Execution& exec,
                                std::string_view placeholder) {
   PAW_CHECK(visible.empty() || visible.size() == exec.items().size())
       << "visibility mask does not match the execution's items";
-  const std::string masked(placeholder);
-  std::ostringstream os;
-  os << "execution spec=" << QuoteField(exec.spec().name()) << "\n";
+  const Digraph& g = exec.graph();
+  size_t estimate = 32 + exec.spec().name().size() +
+                    static_cast<size_t>(exec.num_nodes()) * 48 +
+                    static_cast<size_t>(g.num_edges()) * 32;
+  for (const DataItem& d : exec.items()) {
+    estimate += 48 + d.label.size() + d.value.size();
+  }
+  std::string out;
+  out.reserve(estimate);
+  out.append("execution spec=");
+  AppendQuotedField(exec.spec().name(), &out);
+  out.push_back('\n');
   for (const ExecNode& n : exec.nodes()) {
-    os << "node " << n.id.value() << " " << ExecNodeKindName(n.kind) << " "
-       << exec.spec().module(n.module).code << " process=" << n.process_id
-       << " enclosing=" << n.enclosing.value() << "\n";
+    out.append("node ");
+    AppendInt(n.id.value(), &out);
+    out.push_back(' ');
+    out.append(ExecNodeKindName(n.kind));
+    out.push_back(' ');
+    out.append(exec.spec().module(n.module).code);
+    out.append(" process=");
+    AppendInt(n.process_id, &out);
+    out.append(" enclosing=");
+    AppendInt(n.enclosing.value(), &out);
+    out.push_back('\n');
   }
   for (const DataItem& d : exec.items()) {
     const bool shown =
         visible.empty() || visible[static_cast<size_t>(d.id.value())];
-    os << "item " << d.id.value() << " label=" << QuoteField(d.label)
-       << " producer=" << d.producer.value()
-       << " value=" << QuoteField(shown ? d.value : masked) << "\n";
+    out.append("item ");
+    AppendInt(d.id.value(), &out);
+    out.append(" label=");
+    AppendQuotedField(d.label, &out);
+    out.append(" producer=");
+    AppendInt(d.producer.value(), &out);
+    out.append(" value=");
+    AppendQuotedField(shown ? std::string_view(d.value) : placeholder, &out);
+    out.push_back('\n');
   }
-  for (const auto& [u, v] : exec.graph().Edges()) {
-    os << "flow " << u << " " << v << " items=\"";
-    const auto& items = exec.ItemsOn(ExecNodeId(u), ExecNodeId(v));
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (i) os << ";";
-      os << items[i].value();
+  for (NodeIndex u = 0; u < g.num_nodes(); ++u) {
+    for (NodeIndex v : g.OutNeighbors(u)) {
+      out.append("flow ");
+      AppendInt(u, &out);
+      out.push_back(' ');
+      AppendInt(v, &out);
+      out.append(" items=\"");
+      const auto& items = exec.ItemsOn(ExecNodeId(u), ExecNodeId(v));
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i) out.push_back(';');
+        AppendInt(items[i].value(), &out);
+      }
+      out.append("\"\n");
     }
-    os << "\"\n";
   }
-  return os.str();
+  return out;
 }
 
 Result<Execution> ParseExecution(const std::string& text,

@@ -1,12 +1,11 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
+#include "src/graph/algorithms.h"
 #include "src/privacy/data_privacy.h"
-#include "src/provenance/lineage.h"
 
 namespace paw {
 namespace {
@@ -45,6 +44,12 @@ Counter& EngineCatchupsTotal() {
   static Counter& c = MetricsRegistry::Global().GetCounter(
       "paw_query_engine_catchups_total");
   return c;
+}
+
+/// Appends `Execution::ItemName(d)` ("d17") to `out`.
+void AppendItemName(DataItemId d, std::string* out) {
+  out->push_back('d');
+  AppendInt(d.value(), out);
 }
 
 }  // namespace
@@ -137,7 +142,7 @@ Result<std::vector<KeywordAnswer>> QueryEngine::Search(
 Result<LineageAnswer> QueryEngine::RenderCone(
     const SpecEntry& spec_entry, int spec_id, ExecutionId exec_id,
     const Execution& exec, const Principal& p,
-    const std::vector<ExecNodeId>& cone_nodes, DataItemId item,
+    const std::vector<NodeIndex>& cone, DataItemId item,
     uint64_t cut_epoch) const {
   // 1. Structural zoom-out from the principal's access view — memoized
   // per (execution, level): the result depends only on the immutable
@@ -161,55 +166,63 @@ Result<LineageAnswer> QueryEngine::RenderCone(
     }
   }
   const ExecZoomOutResult& zoomed = *zoomed_ptr;
+  const ExecView& view = zoomed.view;
   LineageConesTotal().Add();
 
-  // 2. Restrict to the cone.
-  std::vector<bool> in_cone(static_cast<size_t>(exec.num_nodes()), false);
-  for (ExecNodeId n : cone_nodes) {
-    in_cone[static_cast<size_t>(n.value())] = true;
-  }
-  std::vector<bool> view_in_cone(
-      static_cast<size_t>(zoomed.view.num_nodes()), false);
-  for (int32_t i = 0; i < exec.num_nodes(); ++i) {
-    if (!in_cone[static_cast<size_t>(i)]) continue;
-    PAW_ASSIGN_OR_RETURN(NodeIndex v,
-                         zoomed.view.ViewNodeOf(ExecNodeId(i)));
-    view_in_cone[static_cast<size_t>(v)] = true;
+  // 2. Restrict to the cone's view nodes.
+  std::vector<bool> in_cone(static_cast<size_t>(view.num_nodes()), false);
+  for (NodeIndex n : cone) {
+    PAW_ASSIGN_OR_RETURN(NodeIndex v, view.ViewNodeOf(ExecNodeId(n)));
+    in_cone[static_cast<size_t>(v)] = true;
   }
 
-  // 3. Render with data masking.
+  // 3. Render with data masking, one row per visible edge in the cone.
   LineageAnswer answer;
   answer.prefix = zoomed.final_prefix;
   answer.zoom_steps = zoomed.steps;
   const DataPolicy& data_policy = spec_entry.policy.data;
-  for (const auto& [u, v] : zoomed.view.graph().Edges()) {
-    if (!view_in_cone[static_cast<size_t>(u)] ||
-        !view_in_cone[static_cast<size_t>(v)]) {
-      continue;
+  auto append_value = [&](DataItemId d, std::string* out) {
+    const DataItem& it = exec.item(d);
+    if (data_policy.LevelOf(it.label) <= p.level) {
+      out->append(it.value);
+    } else {
+      out->append(kMaskedValue);
     }
-    std::ostringstream row;
-    row << zoomed.view.NodeLabel(u) << " -> " << zoomed.view.NodeLabel(v)
-        << " [";
-    bool first = true;
-    for (DataItemId d : zoomed.view.ItemsOn(u, v)) {
-      if (!first) row << ", ";
-      first = false;
-      row << Execution::ItemName(d) << "="
-          << RenderValue(exec, d, data_policy, p.level);
+  };
+  for (NodeIndex u = 0; u < view.num_nodes(); ++u) {
+    if (!in_cone[static_cast<size_t>(u)]) continue;
+    for (NodeIndex v : view.OutNeighbors(u)) {
+      if (!in_cone[static_cast<size_t>(v)]) continue;
+      std::string row;
+      view.AppendNodeLabel(u, &row);
+      row.append(" -> ");
+      view.AppendNodeLabel(v, &row);
+      row.append(" [");
+      bool first = true;
+      for (DataItemId d : view.ItemsOn(u, v)) {
+        if (!first) row.append(", ");
+        first = false;
+        AppendItemName(d, &row);
+        row.push_back('=');
+        append_value(d, &row);
+      }
+      row.push_back(']');
+      answer.rows.push_back(std::move(row));
     }
-    row << "]";
-    answer.rows.push_back(row.str());
   }
   // The queried item itself (its carrying edge leaves the ancestor cone,
   // so it would otherwise be absent from the rows).
   if (item.valid()) {
-    PAW_ASSIGN_OR_RETURN(
-        NodeIndex producer_view,
-        zoomed.view.ViewNodeOf(exec.item(item).producer));
-    answer.rows.push_back(
-        Execution::ItemName(item) + " = " +
-        RenderValue(exec, item, data_policy, p.level) + " (produced by " +
-        zoomed.view.NodeLabel(producer_view) + ")");
+    PAW_ASSIGN_OR_RETURN(NodeIndex producer_view,
+                         view.ViewNodeOf(exec.item(item).producer));
+    std::string row;
+    AppendItemName(item, &row);
+    row.append(" = ");
+    append_value(item, &row);
+    row.append(" (produced by ");
+    view.AppendNodeLabel(producer_view, &row);
+    row.push_back(')');
+    answer.rows.push_back(std::move(row));
   }
   return answer;
 }
@@ -229,9 +242,10 @@ Result<LineageAnswer> QueryEngine::Lineage(PrincipalId principal,
   if (item.value() < 0 || item.value() >= exec.num_items()) {
     return Status::NotFound("unknown data item");
   }
-  PAW_ASSIGN_OR_RETURN(LineageResult cone, ProvenanceOf(exec, item));
-  return RenderCone(spec_entry, entry.spec_id, exec_id, exec, p, cone.nodes,
-                    item, view_.epoch);
+  const std::vector<NodeIndex> cone =
+      CanReach(exec.graph(), exec.item(item).producer.value());
+  return RenderCone(spec_entry, entry.spec_id, exec_id, exec, p, cone, item,
+                    view_.epoch);
 }
 
 Result<const ExecutionEntry*> QueryEngine::ExecutionByOrdinal(int spec_id,
@@ -290,12 +304,11 @@ QueryEngine::SearchExecutions(PrincipalId principal,
     hit.num_matches = static_cast<int>(matches.size());
     ExecNodeId target =
         hit.match.binding[static_cast<size_t>(provenance_var)];
-    PAW_ASSIGN_OR_RETURN(LineageResult cone,
-                         ProvenanceOfNode(exec, target));
     PAW_ASSIGN_OR_RETURN(
         hit.provenance,
         RenderCone(spec_entry, entry.spec_id, ExecutionId(e), exec, p,
-                   cone.nodes, DataItemId(), view_.epoch));
+                   CanReach(exec.graph(), target.value()), DataItemId(),
+                   view_.epoch));
     results.push_back(std::move(hit));
   }
   return results;

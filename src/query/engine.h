@@ -156,16 +156,19 @@ class QueryEngine {
   /// as observed on entry. See class comment.
   void CatchUp();
 
-  /// Shared answer rendering: zoom out for structural policy (memoized
-  /// per (exec, level) when the view cache is on), restrict to
-  /// `cone_nodes`, mask values; `item` (when valid) is appended as an
-  /// explicit final row. `cut_epoch` is the serving cut's epoch, the
-  /// floor stamped on any cached zoom-out.
+  /// Shared answer rendering. Zooms out for structural policy (memoized
+  /// per (exec, level) when the view cache is on; `cut_epoch`, the
+  /// serving cut's epoch, is the floor stamped on a cached zoom-out).
+  /// Then walks the zoomed view's successor lists and renders one row per
+  /// edge between view nodes that show a `cone` node (exec node ids, in
+  /// any order), appending labels, item names and item values (masked
+  /// above the principal's level, read in place) into each row's string.
+  /// `item` (when valid) is appended as an explicit final row.
   Result<LineageAnswer> RenderCone(const SpecEntry& spec_entry, int spec_id,
                                    ExecutionId exec_id,
                                    const Execution& exec,
                                    const Principal& principal,
-                                   const std::vector<ExecNodeId>& cone_nodes,
+                                   const std::vector<NodeIndex>& cone,
                                    DataItemId item,
                                    uint64_t cut_epoch) const;
 

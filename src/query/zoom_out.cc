@@ -1,8 +1,6 @@
 #include "src/query/zoom_out.h"
 
-#include <algorithm>
-
-#include "src/graph/algorithms.h"
+#include <vector>
 
 namespace paw {
 namespace {
@@ -30,6 +28,23 @@ void RemoveSubtree(const ExpansionHierarchy& hierarchy, WorkflowId w,
   for (WorkflowId c : hierarchy.Children(w)) {
     if (prefix->count(c)) RemoveSubtree(hierarchy, c, prefix);
   }
+}
+
+/// Marks every view node reachable by at least one edge from `sources`.
+std::vector<bool> ReachableByAnEdge(const ExecView& view,
+                                    const std::vector<NodeIndex>& sources) {
+  std::vector<bool> reached(static_cast<size_t>(view.num_nodes()), false);
+  std::vector<NodeIndex> stack(sources);
+  while (!stack.empty()) {
+    const NodeIndex u = stack.back();
+    stack.pop_back();
+    for (NodeIndex v : view.OutNeighbors(u)) {
+      if (reached[static_cast<size_t>(v)]) continue;
+      reached[static_cast<size_t>(v)] = true;
+      stack.push_back(v);
+    }
+  }
+  return reached;
 }
 
 }  // namespace
@@ -77,9 +92,23 @@ Result<bool> StructuralFactVisible(const ExecView& view, ModuleId src,
     if (n.module == src) src_nodes.push_back(v);
     if (n.module == dst) dst_nodes.push_back(v);
   }
-  for (NodeIndex s : src_nodes) {
+  if (src_nodes.empty() || dst_nodes.empty()) return false;
+  if (src != dst) {
+    // A view node shows one module, so no node is both a source and a
+    // destination: one sweep from all sources answers every pair, even
+    // on a cyclic execution.
+    const std::vector<bool> reached = ReachableByAnEdge(view, src_nodes);
     for (NodeIndex d : dst_nodes) {
-      if (s != d && PathExists(view.graph(), s, d)) return true;
+      if (reached[static_cast<size_t>(d)]) return true;
+    }
+    return false;
+  }
+  // Same module: a node reaching only itself (through a cycle) does not
+  // count, so test each source on its own.
+  for (NodeIndex s : src_nodes) {
+    const std::vector<bool> reached = ReachableByAnEdge(view, {s});
+    for (NodeIndex d : dst_nodes) {
+      if (s != d && reached[static_cast<size_t>(d)]) return true;
     }
   }
   return false;

@@ -250,7 +250,7 @@ TEST_F(DiseaseExecutionTest, Fig2ViewUnderRootPrefix) {
   std::sort(labels.begin(), labels.end());
   EXPECT_EQ(labels,
             (std::vector<std::string>{"I", "O", "S1:M1", "S8:M2"}));
-  EXPECT_EQ(view.value().graph().num_edges(), 4);
+  EXPECT_EQ(view.value().num_edges(), 4);
 }
 
 TEST_F(DiseaseExecutionTest, Fig2EdgeItems) {

@@ -11,6 +11,7 @@
 #include "src/repo/disease.h"
 #include "src/repo/workload.h"
 #include "src/workflow/builder.h"
+#include "tests/exec_view_reference.h"
 
 namespace paw {
 namespace {
@@ -175,6 +176,74 @@ TEST(ExecSerializeGeneratedTest, MaskedRenderMatchesMaskedCopy) {
     for (const DataPolicy* policy : {&open, &closed, &mixed}) {
       masking_levels += ExpectMaskedRenderMatchesCopy(exec.value(), *policy);
     }
+  }
+  EXPECT_GT(masking_levels, 0);
+}
+
+// ---- Differential: the append-only render against the ostringstream
+// render ----
+
+/// Compares the render with the reference unmasked and masked at levels
+/// 0-3; returns how many levels masked at least one value.
+int ExpectRenderMatchesReference(const Execution& exec,
+                                 const DataPolicy& policy) {
+  EXPECT_EQ(SerializeExecution(exec), ref::SerializeExecution(exec, {}, ""));
+  int masking_levels = 0;
+  for (AccessLevel level = 0; level <= 3; ++level) {
+    const MaskingReport mask = ComputeMasking(exec, policy, level);
+    EXPECT_EQ(SerializeExecution(exec, mask.visible, kMaskedValue),
+              ref::SerializeExecution(exec, mask.visible, kMaskedValue))
+        << "level " << level;
+    if (mask.num_masked > 0) ++masking_levels;
+  }
+  return masking_levels;
+}
+
+TEST_F(ExecSerializeTest, RenderMatchesReferenceOnHandMadeExecutions) {
+  EXPECT_GT(ExpectRenderMatchesReference(*exec_, DiseasePolicy().data), 0);
+  for (auto made : {ref::CyclicExecution(*exec_),
+                    ref::NonBeginEnclosingExecution(*exec_),
+                    ref::SparseProcessIdExecution(*exec_),
+                    ref::DuplicateActivationExecution(*exec_),
+                    ref::BypassFlowExecution(*exec_)}) {
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    EXPECT_GT(ExpectRenderMatchesReference(made.value(), DiseasePolicy().data),
+              0);
+  }
+}
+
+TEST_F(ExecSerializeTest, RenderEscapesQuotesAndBackslashes) {
+  Execution e(*spec_);
+  const ModuleId m = spec_->FindModule("M3").value();
+  ExecNodeId a = e.AddNode(ExecNodeKind::kAtomic, m, 1, ExecNodeId());
+  ExecNodeId b = e.AddNode(ExecNodeKind::kAtomic, m, 2, ExecNodeId());
+  e.AddItem("say \"hi\"", a, "C:\\dir\\\"quoted\" \\");
+  e.AddItem("", a, "");
+  e.AddItem("\\", a, "\"");
+  ASSERT_TRUE(e.AddFlow(a, b, {DataItemId(0), DataItemId(2)}).ok());
+  DataPolicy policy;
+  policy.label_level["\\"] = 2;
+  EXPECT_GT(ExpectRenderMatchesReference(e, policy), 0);
+  auto parsed = ParseExecution(SerializeExecution(e), *spec_);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  for (int i = 0; i < e.num_items(); ++i) {
+    EXPECT_EQ(parsed.value().item(DataItemId(i)).label,
+              e.item(DataItemId(i)).label);
+    EXPECT_EQ(parsed.value().item(DataItemId(i)).value,
+              e.item(DataItemId(i)).value);
+  }
+}
+
+TEST(ExecSerializeGeneratedTest, RenderMatchesReferenceOnTenantShapedRuns) {
+  Rng rng(1704);
+  int masking_levels = 0;
+  for (int s = 0; s < 2; ++s) {
+    Specification spec =
+        ref::TenantShapedSpec(&rng, "tenant " + std::to_string(s));
+    const PolicySet policy = ref::TenantShapedPolicy(spec, s);
+    auto exec = GenerateExecution(spec, &rng);
+    ASSERT_TRUE(exec.ok());
+    masking_levels += ExpectRenderMatchesReference(exec.value(), policy.data);
   }
   EXPECT_GT(masking_levels, 0);
 }

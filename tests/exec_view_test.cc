@@ -10,6 +10,7 @@
 
 #include "src/graph/algorithms.h"
 #include "src/repo/disease.h"
+#include "tests/exec_view_reference.h"
 
 namespace paw {
 namespace {
@@ -106,10 +107,11 @@ TEST_F(ExecViewTest, NoSelfEdgesAfterCollapse) {
   for (const Prefix& p : prefixes.value()) {
     auto view = CollapseExecution(*exec_, h_, p);
     ASSERT_TRUE(view.ok());
-    for (const auto& [u, v] : view.value().graph().Edges()) {
+    const Digraph g = view.value().ToDigraph();
+    for (const auto& [u, v] : g.Edges()) {
       EXPECT_NE(u, v);
     }
-    EXPECT_TRUE(IsAcyclic(view.value().graph()));
+    EXPECT_TRUE(IsAcyclic(g));
   }
 }
 
@@ -124,6 +126,96 @@ TEST_F(ExecViewTest, DotRendering) {
   EXPECT_NE(dot.find("digraph fig2"), std::string::npos);
   EXPECT_NE(dot.find("S1:M1"), std::string::npos);
   EXPECT_NE(dot.find("d19"), std::string::npos);
+}
+
+TEST_F(ExecViewTest, ToDigraphKeepsEdgeOrder) {
+  auto view = CollapseExecution(*exec_, h_, {W("W1"), W("W2")});
+  ASSERT_TRUE(view.ok());
+  const ExecView& v = view.value();
+  const Digraph g = v.ToDigraph();
+  ASSERT_EQ(g.num_nodes(), v.num_nodes());
+  EXPECT_EQ(g.num_edges(), v.num_edges());
+  for (NodeIndex u = 0; u < v.num_nodes(); ++u) {
+    const auto succ = v.OutNeighbors(u);
+    EXPECT_EQ(g.OutNeighbors(u),
+              std::vector<NodeIndex>(succ.begin(), succ.end()));
+  }
+  EXPECT_TRUE(v.ItemsOn(0, 0).empty());
+}
+
+// ---- Differential: the flat collapse against the chain walk ----
+
+TEST_F(ExecViewTest, MatchesChainWalkAtEveryDiseasePrefix) {
+  auto prefixes = h_.EnumeratePrefixes();
+  ASSERT_TRUE(prefixes.ok());
+  for (const Prefix& p : prefixes.value()) {
+    auto view = CollapseExecution(*exec_, h_, p);
+    ASSERT_TRUE(view.ok());
+    ref::ExpectSameView(view.value(), ref::Collapse(*exec_, p));
+  }
+}
+
+TEST_F(ExecViewTest, MatchesChainWalkOnHandMadeExecutions) {
+  // Inputs the parser accepts and the executor never makes: a cycle, an
+  // `enclosing` naming an atomic node, process ids far above the node
+  // count, composites sharing one process id (inside and outside the
+  // dense range), modules activated twice, and a flow that bypasses a
+  // composite's begin node.
+  std::vector<Execution> inputs;
+  for (auto made : {ref::CyclicExecution(*exec_),
+                    ref::NonBeginEnclosingExecution(*exec_),
+                    ref::SparseProcessIdExecution(*exec_),
+                    ref::SharedProcessIdExecution(*exec_, 3),
+                    ref::SharedProcessIdExecution(*exec_, 100003),
+                    ref::DuplicateActivationExecution(*exec_),
+                    ref::BypassFlowExecution(*exec_)}) {
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    inputs.push_back(std::move(made).value());
+  }
+  EXPECT_FALSE(IsAcyclic(inputs[0].graph()));
+  auto prefixes = h_.EnumeratePrefixes();
+  ASSERT_TRUE(prefixes.ok());
+  for (const Execution& exec : inputs) {
+    for (const Prefix& p : prefixes.value()) {
+      auto view = CollapseExecution(exec, h_, p);
+      ASSERT_TRUE(view.ok());
+      ref::ExpectSameView(view.value(), ref::Collapse(exec, p));
+    }
+  }
+}
+
+TEST(ExecViewGeneratedTest, MatchesChainWalkOnTenantShapedRuns) {
+  // pawbench's tenant shape (depth 3, 150-159 modules) at every access
+  // level, and every prefix of a smaller generated spec.
+  Rng rng(1701);
+  for (int s = 0; s < 2; ++s) {
+    Specification spec =
+        ref::TenantShapedSpec(&rng, "tenant " + std::to_string(s));
+    ExpansionHierarchy h = ExpansionHierarchy::Build(spec);
+    auto exec = GenerateExecution(spec, &rng);
+    ASSERT_TRUE(exec.ok());
+    for (AccessLevel level = 0; level <= 3; ++level) {
+      Prefix p = h.AccessPrefix(spec, level);
+      auto view = CollapseExecution(exec.value(), h, p);
+      ASSERT_TRUE(view.ok());
+      ref::ExpectSameView(view.value(), ref::Collapse(exec.value(), p));
+    }
+  }
+  WorkloadParams small;
+  small.depth = 2;
+  auto spec = GenerateSpec(small, &rng, "small");
+  ASSERT_TRUE(spec.ok());
+  ExpansionHierarchy h = ExpansionHierarchy::Build(spec.value());
+  auto exec = GenerateExecution(spec.value(), &rng);
+  ASSERT_TRUE(exec.ok());
+  auto prefixes = h.EnumeratePrefixes();
+  ASSERT_TRUE(prefixes.ok());
+  EXPECT_GT(prefixes.value().size(), 2u);
+  for (const Prefix& p : prefixes.value()) {
+    auto view = CollapseExecution(exec.value(), h, p);
+    ASSERT_TRUE(view.ok());
+    ref::ExpectSameView(view.value(), ref::Collapse(exec.value(), p));
+  }
 }
 
 }  // namespace

@@ -113,7 +113,8 @@ TEST_P(GeneratedWorldTest, CollapseCommutesWithReachabilityHiding) {
   for (const Prefix& p : prefixes.value()) {
     auto view = CollapseExecution(exec.value(), h, p);
     ASSERT_TRUE(view.ok());
-    TransitiveClosure vc = TransitiveClosure::Compute(view.value().graph());
+    TransitiveClosure vc =
+        TransitiveClosure::Compute(view.value().ToDigraph());
     for (NodeIndex a = 0; a < view.value().num_nodes(); ++a) {
       for (NodeIndex b = 0; b < view.value().num_nodes(); ++b) {
         if (a == b) continue;

@@ -426,11 +426,15 @@ fi
 echo "== asan+ubsan store tests =="
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPAW_SANITIZE=address
+# The execution-view kernels (flat CSR offsets, one-sweep reachability,
+# append-only renders) run here too: exec_view_test, zoom_out_test,
+# lineage_test and exec_serialize_test.
 SAN_TESTS=(store_test sharded_store_test crash_injection_test record_test
            thread_pool_test crc32_test codec_v2_test wal_group_commit_test
            background_compaction_test wire_test
            server_test replication_test store_lock_test metrics_test
-           trace_test view_cache_test dp_counters_test)
+           trace_test view_cache_test dp_counters_test
+           exec_view_test zoom_out_test lineage_test exec_serialize_test)
 cmake --build "$ASAN_BUILD_DIR" -j "$JOBS" --target "${SAN_TESTS[@]}"
 for t in "${SAN_TESTS[@]}"; do
   echo "-- $t (asan+ubsan)"
