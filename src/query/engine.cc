@@ -100,8 +100,6 @@ void QueryEngine::CatchUp() {
   EngineCatchupsTotal().Add();
 }
 
-void QueryEngine::RefreshIndexes() { CatchUp(); }
-
 CacheStats QueryEngine::cache_stats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return cache_.stats();

@@ -76,12 +76,6 @@ class QueryEngine {
   /// torn-down engine can never be served to a successor.
   ~QueryEngine();
 
-  /// \brief Catches the pinned view and indexes up to the repository's
-  /// current mutation epoch by applying deltas. Queries call this
-  /// implicitly; it exists for callers that want to pay the catch-up
-  /// cost eagerly. Cheap no-op when already current.
-  void RefreshIndexes();
-
   /// \brief Keyword search at the principal's level; cached per level,
   /// invalidated when the cut's spec slice grows.
   Result<std::vector<KeywordAnswer>> Search(

@@ -183,6 +183,14 @@ bool EventLoop::Send(Connection& conn, std::string_view bytes) {
   return true;
 }
 
+void EventLoop::CloseAfterFlush(Connection& conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.close_after_flush = true;
+  }
+  Wake();
+}
+
 void EventLoop::Loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     const int timeout =

@@ -118,6 +118,8 @@ class EventLoop {
   /// Queues `bytes` on `conn` from any thread and wakes the loop;
   /// false once the connection is closing.
   bool Send(Connection& conn, std::string_view bytes);
+  /// Closes `conn` from any thread once its queued output is flushed.
+  void CloseAfterFlush(Connection& conn);
 
  private:
   EventLoop(int idle_timeout_ms, Dispatch dispatch);

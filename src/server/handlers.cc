@@ -424,10 +424,14 @@ Result<Reply> HandleStatus(ServerCore& s, Request& req) {
   }
   if (s.is_follower) {
     text += "\nfollower of " + s.options.follow_host + ":" +
-            std::to_string(s.options.follow_port) +
-            (s.follower != nullptr && s.follower->connected()
-                 ? " (connected)"
-                 : " (connecting)");
+            std::to_string(s.options.follow_port);
+    if (s.follower->connected()) {
+      text += " (connected)";
+    } else {
+      const std::string error = s.follower->last_error();
+      text += error.empty() ? " (connecting)"
+                            : " (connecting; last error: " + error + ")";
+    }
   } else if (s.repl != nullptr) {
     text += "\nreplication: " + std::to_string(s.repl->num_subscribers()) +
             " subscriber(s)" +
@@ -476,6 +480,11 @@ Result<Reply> HandleSubscribe(ServerCore& s, Request& req) {
             std::string bytes;
             AppendFrame(frame, &bytes);
             return loop->Send(*c, bytes);
+          },
+          [loop, weak] {
+            if (std::shared_ptr<Connection> c = weak.lock()) {
+              loop->CloseAfterFlush(*c);
+            }
           }));
   conn.subscriber.store(true, std::memory_order_relaxed);
   {

@@ -1,15 +1,10 @@
 #include "src/server/replication.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "src/client/paw_client.h"
-#include "src/common/file_io.h"
+#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/store/record.h"
 
@@ -24,6 +19,13 @@ Counter& ReplBatchesSent() {
 Counter& ReplRecordsSent() {
   static Counter& c = MetricsRegistry::Global().GetCounter(
       "paw_repl_records_sent_total");
+  return c;
+}
+/// Bytes the sender read from WAL segment files (cursor opens and
+/// pushes): catch-up is linear when this stays near the bytes shipped.
+Counter& ReplReadBytes() {
+  static Counter& c = MetricsRegistry::Global().GetCounter(
+      "paw_repl_read_bytes_total");
   return c;
 }
 Counter& ReplAcks() {
@@ -84,53 +86,45 @@ Counter& ReplReconnects() {
 
 using Clock = std::chrono::steady_clock;
 
-/// Reads the base LSN out of a segment file's kWalHeader record
-/// without loading the whole file: frame = u32 len | u32 crc | u8
-/// type | fixed64 base.
-Result<uint64_t> ReadSegmentBase(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::Internal("open " + path + ": " + std::strerror(errno));
-  }
-  char buf[kRecordHeaderSize + 8];
-  ssize_t got = 0;
-  while (got < static_cast<ssize_t>(sizeof(buf))) {
-    const ssize_t n =
-        ::pread(fd, buf + got, sizeof(buf) - static_cast<size_t>(got),
-                static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += n;
-  }
-  ::close(fd);
-  if (got < static_cast<ssize_t>(sizeof(buf))) {
-    return Status::FailedPrecondition("segment " + path +
-                                      " too short for a WAL header");
-  }
-  const std::string_view view(buf, sizeof(buf));
-  size_t offset = 0;
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  uint64_t base = 0;
-  if (!GetFixed32(view, &offset, &len) ||
-      !GetFixed32(view, &offset, &crc) || len != 8 ||
-      static_cast<RecordType>(buf[offset]) != RecordType::kWalHeader) {
-    return Status::FailedPrecondition("segment " + path +
-                                      " does not start with a WAL header");
-  }
-  ++offset;  // type byte
-  if (!GetFixed64(view, &offset, &base)) {
-    return Status::FailedPrecondition("segment " + path +
-                                      " holds a truncated WAL header");
-  }
-  return base;
-}
+/// Caps on one REPLICATE push: records, and payload bytes.
+constexpr size_t kMaxBatchRecords = 512;
+constexpr size_t kMaxBatchBytes = 2u << 20;
+/// Pushed-but-unacked batches per subscriber and shard; the sender
+/// stalls that subscriber (not the others) when it is reached.
+constexpr size_t kMaxUnackedBatches = 8;
+/// Committed batches a shard remembers while no ack passes them.
+constexpr size_t kMaxTrackedBatches = 4096;
 
-/// One leader→follower push, pre-encoded.
-struct PendingPush {
-  ReplicationManager::SendFn send;
-  wire::Frame frame;
-};
+/// Opens one cursor per shard at the LSN after the follower's last,
+/// refusing a follower ahead of the committed log or behind the
+/// oldest segment on disk.
+Result<std::vector<WalTailReader>> OpenCursors(
+    const std::vector<std::string>& dirs,
+    const std::vector<uint64_t>& last_lsns,
+    const std::vector<WalPosition>& committed) {
+  std::vector<WalTailReader> cursors;
+  for (size_t i = 0; i < dirs.size(); ++i) {
+    const std::string shard = std::to_string(i);
+    Result<WalTailReader> cursor =
+        WalTailReader::Open(dirs[i], last_lsns[i] + 1, committed[i]);
+    if (cursor.status().IsInvalidArgument()) {
+      return Status::InvalidArgument(
+          "follower is ahead of the leader on shard " + shard +
+          " (follower " + std::to_string(last_lsns[i]) + ", leader " +
+          std::to_string(committed[i].lsn) + "); refusing to diverge");
+    }
+    if (cursor.status().IsOutOfRange()) {
+      return Status::FailedPrecondition(
+          "follower too far behind on shard " + shard + " (" +
+          cursor.status().message() +
+          "); re-seed from a copy of the leader store");
+    }
+    PAW_RETURN_NOT_OK(cursor.status());
+    ReplReadBytes().Add(cursor.value().bytes_read());
+    cursors.push_back(std::move(cursor).value());
+  }
+  return cursors;
+}
 
 }  // namespace
 
@@ -140,47 +134,51 @@ struct ReplicationManager::Subscriber {
   uint64_t token = 0;
   std::string name;
   SendFn send;
+  CloseFn close;
+  /// Set when a read or push fails, or on removal; the sender skips a
+  /// failed subscriber.
   bool failed = false;
   /// False until ActivateSubscriber: the SUBSCRIBE response must hit
   /// the connection's output queue before the first push does.
   bool active = false;
-  /// Per shard: next LSN to push.
-  std::vector<uint64_t> next;
+  /// Per shard: the read cursor, whose next LSN is the next to push.
+  /// Set under the rep mutex once the SUBSCRIBE is validated; from
+  /// then on only the sender thread reads through it.
+  std::vector<WalTailReader> cursors;
   /// Per shard: highest LSN the follower acked durable.
   std::vector<uint64_t> acked;
-  /// Per shard: end LSNs of pushed-but-unacked batches (the window).
-  std::vector<std::deque<uint64_t>> inflight;
+  /// Per shard: pushed-but-unacked batches (the window), each with the
+  /// segment its cursor read on from.
+  struct Pushed {
+    uint64_t end = 0;
+    uint64_t seq = 0;
+  };
+  std::vector<std::deque<Pushed>> inflight;
   /// Per shard: segment seq this subscriber pins (retention floor
-  /// contribution); advanced as acks pass rotation points.
+  /// contribution): the one holding the LSN after its last acked push.
   std::vector<uint64_t> pin;
 };
 
 struct ReplicationManager::Shard {
   WriteAheadLog* wal = nullptr;
-  /// Highest LSN the commit sink has seen on disk.
-  uint64_t committed = 0;
-  /// Live ring of recent commit batches (raw record.h frames),
-  /// contiguous; `ring[i]` covers [base, base + count - 1].
-  struct RingEntry {
-    uint64_t base = 0;
-    uint64_t count = 0;
-    std::string frames;
-    /// Trace context of the first traced record in the batch; stamped
-    /// onto the push frame so follower apply/ack spans join the
-    /// leader-side trace of the write that led the commit batch.
-    TraceContext ctx;
+  /// Where the last batch the commit sink reported ends; no cursor
+  /// reads past it.
+  WalPosition committed;
+  /// Committed batches, oldest first, until every subscriber acked
+  /// them: the commit instant feeds the lag histogram, and the first
+  /// traced record's context is stamped onto the push that ships the
+  /// batch, so follower apply/ack spans join the write's trace.
+  struct Batch {
+    uint64_t end = 0;
+    Clock::time_point at;
+    TraceContext trace;
   };
-  std::deque<RingEntry> ring;
-  size_t ring_bytes = 0;
-  /// (batch end LSN, commit instant) for the lag histogram; popped as
-  /// the fastest subscriber's ack passes each entry.
-  std::deque<std::pair<uint64_t, Clock::time_point>> commit_times;
+  std::deque<Batch> batches;
   /// Highest LSN any subscriber acked (quorum waits watch this).
   uint64_t max_acked = 0;
 };
 
 struct ReplicationManager::Rep {
-  ReplicationManagerOptions options;
   std::vector<Shard> shards;
 
   mutable std::mutex mu;
@@ -188,22 +186,21 @@ struct ReplicationManager::Rep {
   std::condition_variable work_cv;
   /// Wakes quorum waiters (max_acked advanced).
   std::condition_variable quorum_cv;
-  std::unordered_map<uint64_t, std::unique_ptr<Subscriber>> subscribers;
+  /// Shared with the sender, which holds a subscriber across the
+  /// unlocked read and send of a push.
+  std::unordered_map<uint64_t, std::shared_ptr<Subscriber>> subscribers;
   uint64_t next_push_id = 1;
   bool started = false;
   bool stop = false;
   std::thread sender;
 };
 
-ReplicationManager::ReplicationManager(std::vector<WriteAheadLog*> wals,
-                                       ReplicationManagerOptions options)
+ReplicationManager::ReplicationManager(std::vector<WriteAheadLog*> wals)
     : rep_(std::make_unique<Rep>()) {
-  rep_->options = options;
   rep_->shards.resize(wals.size());
   for (size_t i = 0; i < wals.size(); ++i) {
     rep_->shards[i].wal = wals[i];
-    rep_->shards[i].committed = wals[i]->last_lsn();
-    rep_->shards[i].max_acked = 0;
+    rep_->shards[i].committed = wals[i]->committed();
   }
 }
 
@@ -219,36 +216,21 @@ void ReplicationManager::Start() {
   }
   for (size_t i = 0; i < r->shards.size(); ++i) {
     r->shards[i].wal->SetCommitSink(
-        [this, i](uint64_t first_lsn, uint64_t num_records,
-                  std::string_view frames,
-                  const std::vector<TraceContext>& traces) {
-          Rep* rr = rep_.get();
+        [r, i](const WalPosition& end, const TraceContext& trace) {
           const Clock::time_point now = Clock::now();
           {
-            std::lock_guard<std::mutex> lock(rr->mu);
-            Shard& sh = rr->shards[i];
-            Shard::RingEntry entry;
-            entry.base = first_lsn;
-            entry.count = num_records;
-            entry.frames.assign(frames.data(), frames.size());
-            for (const TraceContext& t : traces) {
-              if (t.valid()) {
-                entry.ctx = t;
-                break;
+            std::lock_guard<std::mutex> lock(r->mu);
+            Shard& sh = r->shards[i];
+            // A rotation moves the position without committing records.
+            if (end.lsn > sh.committed.lsn) {
+              sh.batches.push_back({end.lsn, now, trace});
+              if (sh.batches.size() > kMaxTrackedBatches) {
+                sh.batches.pop_front();
               }
             }
-            sh.ring_bytes += entry.frames.size();
-            sh.ring.push_back(std::move(entry));
-            while (sh.ring_bytes > rr->options.live_buffer_bytes &&
-                   sh.ring.size() > 1) {
-              sh.ring_bytes -= sh.ring.front().frames.size();
-              sh.ring.pop_front();
-            }
-            sh.committed = first_lsn + num_records - 1;
-            sh.commit_times.emplace_back(sh.committed, now);
-            if (sh.commit_times.size() > 4096) sh.commit_times.pop_front();
+            sh.committed = end;
           }
-          rr->work_cv.notify_all();
+          r->work_cv.notify_all();
         });
   }
   r->sender = std::thread([this] { SenderLoop(); });
@@ -282,7 +264,7 @@ void ReplicationManager::Stop() {
 
 Result<wire::SubscribeResponse> ReplicationManager::AddSubscriber(
     uint64_t token, const std::string& name,
-    std::vector<uint64_t> last_lsns, SendFn send) {
+    std::vector<uint64_t> last_lsns, SendFn send, CloseFn close) {
   Rep* r = rep_.get();
   const size_t num_shards = r->shards.size();
   if (last_lsns.size() != num_shards) {
@@ -291,65 +273,53 @@ Result<wire::SubscribeResponse> ReplicationManager::AddSubscriber(
         " shards, leader has " + std::to_string(num_shards));
   }
 
-  // Pin the retention floor *before* validating the cursor, so
-  // compaction cannot unlink the segments this stream needs between
-  // the check and the first push. Pinning at the oldest segment on
-  // disk is conservative; acks release it as the follower catches up.
-  auto sub = std::make_unique<Subscriber>();
+  // Register the subscriber (paused) pinning each shard's oldest
+  // segment *before* validating its cursor, so compaction cannot
+  // unlink the segments this stream needs between the check and the
+  // first push. Acks release the pin as the follower catches up.
+  auto sub = std::make_shared<Subscriber>();
   sub->token = token;
   sub->name = name;
   sub->send = std::move(send);
-  sub->next.resize(num_shards);
-  sub->acked.resize(num_shards);
+  sub->close = std::move(close);
+  sub->acked = last_lsns;
   sub->inflight.resize(num_shards);
-  sub->pin.resize(num_shards, WriteAheadLog::kNoRetainFloor);
-
-  wire::SubscribeResponse resp;
-  resp.leader_lsns.resize(num_shards);
+  std::vector<std::string> dirs;
   for (size_t i = 0; i < num_shards; ++i) {
-    WriteAheadLog* wal = r->shards[i].wal;
-    PAW_ASSIGN_OR_RETURN(const auto segments,
-                         ListWalSegments(wal->dir()));
+    dirs.push_back(r->shards[i].wal->dir());
+    PAW_ASSIGN_OR_RETURN(const auto segments, ListWalSegments(dirs[i]));
     if (segments.empty()) {
       return Status::Internal("shard " + std::to_string(i) +
                               " has no WAL segments");
     }
-    sub->pin[i] = segments.front().seq;
-    PAW_RETURN_NOT_OK(wal->SetRetainFloor(
-        std::min(wal->retain_floor(), segments.front().seq)));
-    PAW_ASSIGN_OR_RETURN(const uint64_t oldest_base,
-                         ReadSegmentBase(segments.front().path));
-    const uint64_t last = last_lsns[i];
-    const uint64_t tail = wal->last_lsn();
-    if (last > tail) {
-      return Status::InvalidArgument(
-          "follower is ahead of the leader on shard " +
-          std::to_string(i) + " (follower " + std::to_string(last) +
-          ", leader " + std::to_string(tail) +
-          "); refusing to diverge");
-    }
-    if (last < oldest_base) {
-      return Status::FailedPrecondition(
-          "follower too far behind on shard " + std::to_string(i) +
-          " (needs LSN " + std::to_string(last + 1) +
-          ", oldest on disk is " + std::to_string(oldest_base + 1) +
-          "); re-seed from a copy of the leader store");
-    }
-    sub->next[i] = last + 1;
-    sub->acked[i] = last;
-    resp.leader_lsns[i] = tail;
+    sub->pin.push_back(segments.front().seq);
   }
-
-  size_t count = 0;
+  std::vector<WalPosition> committed;
   {
     std::lock_guard<std::mutex> lock(r->mu);
     if (r->stop) return Status::FailedPrecondition("server stopping");
-    r->subscribers[token] = std::move(sub);
-    count = r->subscribers.size();
+    r->subscribers[token] = sub;
     UpdateFloorsLocked();
+    for (const Shard& sh : r->shards) committed.push_back(sh.committed);
   }
-  ReplSubscribers().Set(static_cast<int64_t>(count));
-  r->work_cv.notify_all();
+
+  // Validate off-lock: opening a cursor reads segment files.
+  Result<std::vector<WalTailReader>> cursors =
+      OpenCursors(dirs, last_lsns, committed);
+  std::lock_guard<std::mutex> lock(r->mu);
+  if (!cursors.ok()) {
+    // A refusal must not leave its pin behind.
+    r->subscribers.erase(token);
+    UpdateFloorsLocked();
+    return cursors.status();
+  }
+  wire::SubscribeResponse resp;
+  sub->cursors = std::move(cursors).value();
+  for (size_t i = 0; i < num_shards; ++i) {
+    sub->pin[i] = sub->cursors[i].seq();
+    resp.leader_lsns.push_back(committed[i].lsn);
+  }
+  UpdateFloorsLocked();
   return resp;
 }
 
@@ -361,26 +331,26 @@ void ReplicationManager::ActivateSubscriber(uint64_t token) {
     if (it == r->subscribers.end()) return;
     it->second->active = true;
   }
+  ReplSubscribers().Set(static_cast<int64_t>(num_subscribers()));
   r->work_cv.notify_all();
 }
 
 void ReplicationManager::RemoveSubscriber(uint64_t token) {
   Rep* r = rep_.get();
-  size_t count = 0;
   std::string name;
   {
     std::lock_guard<std::mutex> lock(r->mu);
     auto it = r->subscribers.find(token);
     if (it == r->subscribers.end()) return;
     name = it->second->name;
+    it->second->failed = true;  // the sender may still hold it
     r->subscribers.erase(it);
-    count = r->subscribers.size();
     UpdateFloorsLocked();
   }
   // Drop the per-subscriber series: a gone follower must not keep
   // exporting its last lag value forever.
   MetricsRegistry::Global().Remove(SubscriberLagMetricName(name));
-  ReplSubscribers().Set(static_cast<int64_t>(count));
+  ReplSubscribers().Set(static_cast<int64_t>(num_subscribers()));
 }
 
 void ReplicationManager::HandleAck(uint64_t token,
@@ -391,46 +361,49 @@ void ReplicationManager::HandleAck(uint64_t token,
     std::lock_guard<std::mutex> lock(r->mu);
     auto it = r->subscribers.find(token);
     if (it == r->subscribers.end()) return;
-    Subscriber* sub = it->second.get();
-    const int shard = ack.shard;
-    if (shard < 0 || static_cast<size_t>(shard) >= r->shards.size()) {
+    Subscriber& sub = *it->second;
+    if (ack.shard < 0 || static_cast<size_t>(ack.shard) >= r->shards.size()) {
       return;
     }
-    Shard& sh = r->shards[static_cast<size_t>(shard)];
-    if (ack.durable_lsn > sub->acked[static_cast<size_t>(shard)]) {
-      sub->acked[static_cast<size_t>(shard)] = ack.durable_lsn;
-    }
-    std::deque<uint64_t>& window =
-        sub->inflight[static_cast<size_t>(shard)];
-    while (!window.empty() && window.front() <= ack.durable_lsn) {
+    const size_t si = static_cast<size_t>(ack.shard);
+    Shard& sh = r->shards[si];
+    sub.acked[si] = std::max(sub.acked[si], ack.durable_lsn);
+    // The follower needs nothing below the segment its cursor read on
+    // from after the last push this ack covers.
+    std::deque<Subscriber::Pushed>& window = sub.inflight[si];
+    while (!window.empty() && window.front().end <= ack.durable_lsn) {
+      sub.pin[si] = window.front().seq;
       window.pop_front();
-    }
-    // Once the ack clears the active segment's base, only the active
-    // segment can still hold records this subscriber needs.
-    if (ack.durable_lsn >= sh.wal->base_lsn()) {
-      sub->pin[static_cast<size_t>(shard)] = sh.wal->active_seq();
     }
     // Refresh this follower's own lag series (committed records it
     // has not yet acked, across every shard). The registry mutex is a
     // leaf lock, so taking it under `mu` is safe.
     uint64_t behind = 0;
     for (size_t i = 0; i < r->shards.size(); ++i) {
-      const uint64_t committed = r->shards[i].committed;
-      if (committed > sub->acked[i]) behind += committed - sub->acked[i];
+      const uint64_t committed = r->shards[i].committed.lsn;
+      if (committed > sub.acked[i]) behind += committed - sub.acked[i];
     }
     MetricsRegistry::Global()
-        .GetGauge(SubscriberLagMetricName(sub->name))
+        .GetGauge(SubscriberLagMetricName(sub.name))
         .Set(static_cast<int64_t>(behind));
     if (ack.durable_lsn > sh.max_acked) {
-      sh.max_acked = ack.durable_lsn;
-      while (!sh.commit_times.empty() &&
-             sh.commit_times.front().first <= ack.durable_lsn) {
+      auto batch = std::partition_point(
+          sh.batches.begin(), sh.batches.end(),
+          [&](const Shard::Batch& b) { return b.end <= sh.max_acked; });
+      for (; batch != sh.batches.end() && batch->end <= ack.durable_lsn;
+           ++batch) {
         ReplLagSeconds().Observe(
-            std::chrono::duration<double>(
-                now - sh.commit_times.front().second)
-                .count());
-        sh.commit_times.pop_front();
+            std::chrono::duration<double>(now - batch->at).count());
       }
+      sh.max_acked = ack.durable_lsn;
+    }
+    // Forget the batches every subscriber has acked.
+    uint64_t min_acked = UINT64_MAX;
+    for (const auto& [t, s] : r->subscribers) {
+      min_acked = std::min(min_acked, s->acked[si]);
+    }
+    while (!sh.batches.empty() && sh.batches.front().end <= min_acked) {
+      sh.batches.pop_front();
     }
     UpdateFloorsLocked();
   }
@@ -458,9 +431,10 @@ bool ReplicationManager::WaitForQuorum(int shard, uint64_t lsn,
 }
 
 size_t ReplicationManager::num_subscribers() const {
-  Rep* r = rep_.get();
-  std::lock_guard<std::mutex> lock(r->mu);
-  return r->subscribers.size();
+  std::lock_guard<std::mutex> lock(rep_->mu);
+  return static_cast<size_t>(std::count_if(
+      rep_->subscribers.begin(), rep_->subscribers.end(),
+      [](const auto& entry) { return entry.second->active; }));
 }
 
 void ReplicationManager::UpdateFloorsLocked() {
@@ -480,146 +454,65 @@ void ReplicationManager::UpdateFloorsLocked() {
   }
 }
 
-bool ReplicationManager::MaybeSendLocked(
-    std::unique_lock<std::mutex>& lock, Subscriber* sub, int shard) {
+bool ReplicationManager::MaybeSendLocked(std::unique_lock<std::mutex>& lock,
+                                         Subscriber& sub, size_t shard) {
   Rep* r = rep_.get();
-  Shard& sh = r->shards[static_cast<size_t>(shard)];
-  const size_t si = static_cast<size_t>(shard);
-  if (sub->failed || !sub->active) return false;
-  if (sub->inflight[si].size() >= r->options.max_unacked_batches) {
+  Shard& sh = r->shards[shard];
+  if (sub.failed || !sub.active) return false;
+  if (sub.inflight[shard].size() >= kMaxUnackedBatches) return false;
+  WalTailReader& cursor = sub.cursors[shard];
+  if (cursor.next_lsn() > sh.committed.lsn) return false;  // caught up
+  const WalPosition committed = sh.committed;
+
+  // Read and encode off-lock: only this thread uses the cursor.
+  lock.unlock();
+  const uint64_t read_before = cursor.bytes_read();
+  std::vector<Record> records;
+  const Status read =
+      cursor.Read(committed, kMaxBatchRecords, kMaxBatchBytes, &records);
+  ReplReadBytes().Add(cursor.bytes_read() - read_before);
+  if (!read.ok()) {
+    // Drop the connection, not just the stream: the follower then
+    // reconnects and reopens its cursors by position.
+    PAW_LOG(kWarning) << "pawd: replication to " << sub.name
+                      << " failed, closing its connection: "
+                      << read.ToString();
+    sub.close();
+    lock.lock();
+    sub.failed = true;
     return false;
   }
-  const uint64_t next = sub->next[si];
-  if (next > sh.committed) return false;  // caught up
-
   wire::ReplicateRequest req;
-  req.shard = shard;
-  req.base_lsn = next;
-  size_t bytes = 0;
-  // Context the push frame carries: the first traced commit batch
-  // contributing records. Disk catch-up pushes carry none — those
-  // batches predate the follower's subscription.
-  TraceContext push_trace;
-
-  const bool ring_covers =
-      !sh.ring.empty() && next >= sh.ring.front().base;
-  if (ring_covers) {
-    // Stream from the in-memory ring: parse the raw commit-batch
-    // frames back into records, skipping any below the cursor.
-    for (const Shard::RingEntry& entry : sh.ring) {
-      if (entry.base + entry.count <= next) continue;
-      if (!push_trace.valid()) push_trace = entry.ctx;
-      RecordReader reader(entry.frames);
-      Record record;
-      uint64_t lsn = entry.base - 1;
-      while (reader.Next(&record) == ReadOutcome::kRecord) {
-        ++lsn;
-        if (lsn < next) continue;
-        if (lsn != req.base_lsn + req.records.size()) break;  // gap
-        bytes += record.payload.size();
-        wire::ReplicateRequest::Rec rec;
-        rec.type = static_cast<uint8_t>(record.type);
-        rec.payload = std::move(record.payload);
-        req.records.push_back(std::move(rec));
-        if (req.records.size() >= r->options.max_batch_records ||
-            bytes >= r->options.max_batch_bytes) {
-          break;
-        }
-      }
-      if (req.records.size() >= r->options.max_batch_records ||
-          bytes >= r->options.max_batch_bytes) {
-        break;
-      }
-    }
-  } else {
-    // Catch-up: stream from segment files, off-lock (disk I/O).
-    const std::string dir = sh.wal->dir();
-    lock.unlock();
-    Result<std::vector<WalSegmentFile>> segments = ListWalSegments(dir);
-    std::string data;
-    uint64_t chosen_base = 0;
-    Status status = segments.status();
-    if (status.ok()) {
-      // The containing segment is the last one whose base is below
-      // the cursor (its records span (base, next segment's base]).
-      const WalSegmentFile* chosen = nullptr;
-      for (const WalSegmentFile& seg : segments.value()) {
-        Result<uint64_t> base = ReadSegmentBase(seg.path);
-        if (!base.ok()) {
-          status = base.status();
-          break;
-        }
-        if (base.value() < next) {
-          chosen = &seg;
-          chosen_base = base.value();
-        } else {
-          break;
-        }
-      }
-      if (status.ok() && chosen == nullptr) {
-        status = Status::FailedPrecondition(
-            "records below LSN " + std::to_string(next) +
-            " are no longer on disk");
-      }
-      if (status.ok()) {
-        Result<std::string> read = ReadFileToString(chosen->path);
-        if (read.ok()) {
-          data = std::move(read.value());
-        } else {
-          status = read.status();
-        }
-      }
-    }
-    if (status.ok()) {
-      RecordReader reader(data);
-      Record record;
-      uint64_t lsn = chosen_base;
-      // A torn tail here just means the active segment grew under the
-      // read; send the clean prefix and loop.
-      while (reader.Next(&record) == ReadOutcome::kRecord) {
-        if (record.type == RecordType::kWalHeader) continue;
-        ++lsn;
-        if (lsn < next) continue;
-        bytes += record.payload.size();
-        wire::ReplicateRequest::Rec rec;
-        rec.type = static_cast<uint8_t>(record.type);
-        rec.payload = std::move(record.payload);
-        req.records.push_back(std::move(rec));
-        if (req.records.size() >= r->options.max_batch_records ||
-            bytes >= r->options.max_batch_bytes) {
-          break;
-        }
-      }
-    }
-    lock.lock();
-    // Re-validate: the subscriber may have been dropped mid-read.
-    auto it = r->subscribers.find(sub->token);
-    if (it == r->subscribers.end() || it->second.get() != sub ||
-        sub->failed || r->stop) {
-      return false;
-    }
-    if (!status.ok()) {
-      sub->failed = true;
-      return false;
-    }
-    if (req.records.empty()) return false;  // racing rotation; retry
+  req.shard = static_cast<int>(shard);
+  req.base_lsn = cursor.next_lsn() - records.size();
+  for (Record& record : records) {
+    req.records.push_back(
+        {static_cast<uint8_t>(record.type), std::move(record.payload)});
   }
-
-  if (req.records.empty()) return false;
-
   wire::Frame frame;
   frame.version = wire::kProtocolVersion;
   frame.opcode = wire::Opcode::kReplicate;
-  frame.request_id = r->next_push_id++;
   frame.payload = wire::EncodeReplicateRequest(req);
-  frame.trace = push_trace;
-  const uint64_t end = req.base_lsn + req.records.size() - 1;
-  sub->next[si] = end + 1;
-  sub->inflight[si].push_back(end);
-  SendFn send = sub->send;
-  const size_t sent_records = req.records.size();
-  const uint64_t sent_base = req.base_lsn;
-  const std::string sub_name = sub->name;  // `sub` may die off-lock
+  lock.lock();
+  if (sub.failed || r->stop) return false;
+
+  const uint64_t end = cursor.next_lsn() - 1;
+  // The push carries the context of the first traced commit batch
+  // among those it ships.
+  auto batch = std::partition_point(
+      sh.batches.begin(), sh.batches.end(),
+      [&](const Shard::Batch& b) { return b.end < req.base_lsn; });
+  for (; batch != sh.batches.end(); ++batch) {
+    if (batch->trace.valid()) {
+      frame.trace = batch->trace;
+      break;
+    }
+    if (batch->end >= end) break;
+  }
+  frame.request_id = r->next_push_id++;
+  sub.inflight[shard].push_back({end, cursor.seq()});
+  const TraceContext push_trace = frame.trace;
+  SendFn send = sub.send;
 
   lock.unlock();
   bool delivered;
@@ -629,19 +522,16 @@ bool ReplicationManager::MaybeSendLocked(
     ScopedTraceContext push_tl(push_trace);
     ScopedSpan span("repl.push");
     span.set_detail("shard=" + std::to_string(shard) + " base=" +
-                    std::to_string(sent_base) + " n=" +
-                    std::to_string(sent_records) + " to=" + sub_name);
+                    std::to_string(req.base_lsn) + " n=" +
+                    std::to_string(req.records.size()) + " to=" + sub.name);
     delivered = send(std::move(frame));
   }
   lock.lock();
   if (delivered) {
     ReplBatchesSent().Add();
-    ReplRecordsSent().Add(sent_records);
+    ReplRecordsSent().Add(req.records.size());
   } else {
-    auto it = r->subscribers.find(sub->token);
-    if (it != r->subscribers.end() && it->second.get() == sub) {
-      sub->failed = true;
-    }
+    sub.failed = true;
   }
   return delivered;
 }
@@ -649,15 +539,19 @@ bool ReplicationManager::MaybeSendLocked(
 void ReplicationManager::SenderLoop() {
   Rep* r = rep_.get();
   std::unique_lock<std::mutex> lock(r->mu);
+  std::vector<std::shared_ptr<Subscriber>> subs;
   for (;;) {
     if (r->stop) return;
+    // A snapshot: pushes unlock, and the registry may change meanwhile.
+    subs.clear();
+    for (const auto& [token, sub] : r->subscribers) subs.push_back(sub);
     bool sent = false;
     // Round-robin one batch per (subscriber, shard) per pass, so a
     // catching-up follower cannot starve a live one.
-    for (auto& [token, sub] : r->subscribers) {
+    for (const auto& sub : subs) {
       for (size_t i = 0; i < r->shards.size(); ++i) {
         if (r->stop) return;
-        sent |= MaybeSendLocked(lock, sub.get(), static_cast<int>(i));
+        sent |= MaybeSendLocked(lock, *sub, i);
       }
     }
     if (!sent) {
@@ -742,8 +636,15 @@ void ReplicationFollower::Loop() {
     {
       std::lock_guard<std::mutex> lock(r->mu);
       r->connected = false;
-      if (!status.ok()) r->last_error = status.message();
       if (r->stop) return;
+      // A refused follower retries forever; say why once, not on
+      // every retry.
+      if (!status.ok() && status.message() != r->last_error) {
+        PAW_LOG(kWarning) << "pawd: follower of " << r->options.leader_host
+                          << ":" << r->options.leader_port << ": "
+                          << status.ToString();
+        r->last_error = status.message();
+      }
     }
   }
 }
@@ -761,14 +662,13 @@ Status ReplicationFollower::RunOnce() {
   wire::SubscribeRequest sub;
   sub.last_lsns = r->lsns();
   sub.follower_name = r->options.follower_name;
-  PAW_ASSIGN_OR_RETURN(const wire::SubscribeResponse resp,
-                       client.Subscribe(sub));
-  (void)resp;
+  PAW_RETURN_NOT_OK(client.Subscribe(sub).status());
 
   {
     std::lock_guard<std::mutex> lock(r->mu);
     if (r->stop) return Status::OK();
     r->connected = true;
+    r->last_error.clear();
     r->live_client = &client;
   }
   // From here the connection is inverted: read leader pushes, apply,

@@ -17,14 +17,15 @@
 /// to the leader's and *promotion is just a restart*: point a new
 /// leader process at the follower's store directory.
 ///
-/// **Leader feed.** Two sources, stitched per subscriber:
-///
-///  - *Live*: a `WriteAheadLog::CommitSink` forks every group-commit
-///    batch (post-fsync) into a bounded in-memory ring per shard.
-///  - *Catch-up*: when a subscriber's cursor trails the ring, the
-///    sender streams sealed + active segment files straight from
-///    disk (commit order == file order, and commits flush before the
-///    sink fires, so disk never lags the ring).
+/// **Leader feed.** One source, read by position. Each subscriber
+/// holds one cursor per shard — a `WalTailReader` at (segment, byte
+/// offset, next LSN) — and the sender thread reads committed records
+/// forward from the segment files with `pread`, so each byte is read
+/// once, across the boundary from sealed to active segments. The WAL's
+/// commit sink is only a wake-up: it reports where each group-commit
+/// batch ends (LSN, segment, offset) once the batch is in the file
+/// (post fsync under `sync_each_append`), and no cursor reads past the
+/// last report, so nothing ships that the leader has not committed.
 ///
 /// A subscriber whose cursor predates the oldest on-disk segment is
 /// *too far behind* — those records exist only inside a snapshot —
@@ -32,7 +33,8 @@
 /// To keep that window from racing compaction, subscribers pin a
 /// *retention floor* (`WriteAheadLog::SetRetainFloor`): sealed
 /// segments at or above the floor survive compaction cleanup until
-/// every subscriber's ack passes them.
+/// every subscriber's ack passes them. A refused SUBSCRIBE releases
+/// its pin.
 ///
 /// **Ack modes.** `acks=local` (default) acknowledges clients after
 /// the leader's own WAL commit. `acks=quorum` additionally blocks
@@ -58,21 +60,8 @@
 
 namespace paw {
 
-/// \brief Knobs of the leader-side stream manager.
-struct ReplicationManagerOptions {
-  /// Bytes of recent commit batches buffered in memory per shard; a
-  /// subscriber that falls further behind is fed from segment files.
-  size_t live_buffer_bytes = 8u << 20;
-  /// Caps on one REPLICATE push (records / encoded payload bytes).
-  size_t max_batch_records = 512;
-  size_t max_batch_bytes = 2u << 20;
-  /// Per-subscriber cap on pushed-but-unacked batches; the sender
-  /// stalls that subscriber (not the others) when it is reached.
-  size_t max_unacked_batches = 8;
-};
-
-/// \brief Leader-side replication: subscriber registry, live ring,
-/// disk catch-up, retention-floor management, and quorum waits.
+/// \brief Leader-side replication: subscriber registry, per-shard
+/// read cursors, retention-floor management, and quorum waits.
 ///
 /// Owned by the server. `AddSubscriber`/`RemoveSubscriber`/`HandleAck`
 /// are called from server worker threads; one internal sender thread
@@ -83,10 +72,11 @@ class ReplicationManager {
   /// thread); returns false once the connection is gone, which fails
   /// the subscriber.
   using SendFn = std::function<bool(wire::Frame&&)>;
+  /// Closes the subscriber's connection (any thread).
+  using CloseFn = std::function<void()>;
 
   /// `wals[i]` is shard `i`'s log; pointers must outlive the manager.
-  ReplicationManager(std::vector<WriteAheadLog*> wals,
-                     ReplicationManagerOptions options = {});
+  explicit ReplicationManager(std::vector<WriteAheadLog*> wals);
   ~ReplicationManager();
 
   ReplicationManager(const ReplicationManager&) = delete;
@@ -104,13 +94,16 @@ class ReplicationManager {
   /// calls; `last_lsns[i]` is the highest LSN the follower already has
   /// for shard `i`. Pins the retention floor before validating, so the
   /// returned cursor cannot be compacted away underneath the stream.
-  /// Fails when the shard count mismatches or the cursor predates the
-  /// oldest on-disk segment. The subscriber starts *paused*: no push
-  /// is emitted until `ActivateSubscriber`, so the caller can queue
-  /// its SUBSCRIBE response first and keep the wire FIFO.
+  /// Fails — and releases the pin — when the shard count mismatches,
+  /// the follower is ahead of the committed log, or its cursor predates
+  /// the oldest on-disk segment. The subscriber starts *paused*: no
+  /// push is emitted until `ActivateSubscriber`, so the caller can
+  /// queue its SUBSCRIBE response first and keep the wire FIFO. When a
+  /// read of the segment files fails, the sender calls `close`: the
+  /// follower reconnects and reopens its cursors by position.
   Result<wire::SubscribeResponse> AddSubscriber(
       uint64_t token, const std::string& name,
-      std::vector<uint64_t> last_lsns, SendFn send);
+      std::vector<uint64_t> last_lsns, SendFn send, CloseFn close);
 
   /// \brief Starts pushing to a subscriber registered by
   /// `AddSubscriber` (call after the SUBSCRIBE response is queued on
@@ -130,7 +123,8 @@ class ReplicationManager {
   /// durable, or `timeout_ms` elapses. Returns true on quorum.
   bool WaitForQuorum(int shard, uint64_t lsn, int timeout_ms);
 
-  /// \brief Live subscriber count (the `paw_repl_subscribers` gauge).
+  /// \brief Activated subscriber count (the `paw_repl_subscribers`
+  /// gauge).
   size_t num_subscribers() const;
 
  private:
@@ -140,9 +134,10 @@ class ReplicationManager {
 
   void SenderLoop();
   /// One push for `sub` on `shard` if work + window allow; returns
-  /// true when a batch was sent (the loop re-scans until idle).
-  bool MaybeSendLocked(std::unique_lock<std::mutex>& lock,
-                       Subscriber* sub, int shard);
+  /// true when a batch was sent (the loop re-scans until idle). Reads
+  /// and sends with `lock` released.
+  bool MaybeSendLocked(std::unique_lock<std::mutex>& lock, Subscriber& sub,
+                       size_t shard);
   /// Re-derives each shard's retention floor from subscriber cursors
   /// and persists changes. Caller holds the rep mutex.
   void UpdateFloorsLocked();
@@ -189,7 +184,8 @@ class ReplicationFollower {
 
   /// \brief True while subscribed to a live stream.
   bool connected() const;
-  /// \brief Last connection/stream error (empty when none yet).
+  /// \brief Why the last connect or stream failed; empty before the
+  /// first failure and again once a SUBSCRIBE succeeds.
   std::string last_error() const;
 
  private:

@@ -79,8 +79,9 @@ struct PawServer::Impl {
                                      std::to_string(req.shard));
     }
     const uint64_t have = core.ShardLsn(req.shard);
-    // A reconnect can replay records the follower already applied (the
-    // leader streams from segment boundaries): skip the known prefix.
+    // The leader streams from the LSN after the one this follower
+    // reported at SUBSCRIBE, so a push should never overlap what it
+    // applied; a prefix it already has is skipped, not applied twice.
     size_t skip = 0;
     if (req.base_lsn <= have) {
       skip = static_cast<size_t>(have - req.base_lsn) + 1;

@@ -1,9 +1,14 @@
 #include "src/store/wal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
 
 #include "src/common/metrics.h"
 #include "src/common/timer.h"
@@ -67,6 +72,11 @@ constexpr std::string_view kRetainFloorMagic = "pawrepl 1";
 constexpr std::string_view kSegmentPrefix = "wal-";
 constexpr std::string_view kSegmentSuffix = ".log";
 constexpr size_t kSegmentSeqDigits = 8;
+/// A segment's header frame: record header + fixed64 base LSN.
+constexpr size_t kSegmentHeaderBytes = kRecordHeaderSize + 8;
+/// Bytes a `WalTailReader` asks for per read: few syscalls during
+/// catch-up, and a bounded buffer per reader.
+constexpr size_t kTailReadChunk = 256u << 10;
 
 std::string ManifestPath(const std::string& dir) {
   return dir + "/" + std::string(kManifestName);
@@ -431,7 +441,7 @@ Result<uint64_t> WriteAheadLog::Append(RecordType type,
       r->last_lsn.fetch_add(1, std::memory_order_acq_rel) + 1;
   r->pending += frame;
   ++r->pending_records;
-  r->pending_traces.push_back(CurrentTraceContext());
+  if (!r->pending_trace.valid()) r->pending_trace = CurrentTraceContext();
   WalAppendsTotal().Add();
   WalFrameStageCopyBytesTotal().Add(frame.size());
   const uint64_t my_seq = r->next_batch_seq;
@@ -442,46 +452,11 @@ Result<uint64_t> WriteAheadLog::Append(RecordType type,
       // Become the leader: take everything staged so far (our frame
       // plus any concurrent arrivals) and commit it as one batch.
       r->writer_active = true;
-      const uint64_t batch_seq = r->next_batch_seq++;
-      // Every staged frame is in `pending`, so the last assigned LSN
-      // is exactly the end of the batch being cut.
-      const uint64_t batch_end_lsn =
-          r->last_lsn.load(std::memory_order_relaxed);
-      std::string batch;
-      batch.swap(r->pending);
-      const uint64_t batch_records = r->pending_records;
-      r->pending_records = 0;
-      std::vector<TraceContext> batch_traces;
-      batch_traces.swap(r->pending_traces);
-      CommitSink sink = r->commit_sink;
-      lock.unlock();
-      WalBatchRecords().Observe(static_cast<double>(batch_records));
-      Status s = r->file.Append(batch);
-      if (s.ok()) {
-        s = r->options.sync_each_append ? TimedSync(&r->file)
-                                        : r->file.Flush();
-      }
-      // Fork the batch to replication only once it is on disk: a sunk
-      // record is never less durable on the leader than advertised.
-      if (s.ok() && sink) {
-        sink(batch_end_lsn - batch_records + 1, batch_records, batch,
-             batch_traces);
-      }
-      lock.lock();
-      if (!s.ok()) {
-        r->writer_active = false;
-        r->error = s;
-        r->cv.notify_all();
-        return s;
-      }
-      r->committed_seq = batch_seq;
-      r->committed_lsn = batch_end_lsn;
-      r->size_bytes.fetch_add(static_cast<int64_t>(batch.size()),
-                              std::memory_order_acq_rel);
+      const Status s = CommitStagedLocked(lock, r->options.sync_each_append);
       // Size-based rotation: seal while still holding the writer slot,
       // so frames staged by concurrent appenders (which belong to the
       // *next* batch) land in the fresh segment.
-      if (r->options.segment_bytes > 0 &&
+      if (s.ok() && r->options.segment_bytes > 0 &&
           static_cast<uint64_t>(
               r->size_bytes.load(std::memory_order_relaxed)) >=
               r->options.segment_bytes) {
@@ -491,6 +466,7 @@ Result<uint64_t> WriteAheadLog::Append(RecordType type,
       }
       r->writer_active = false;
       r->cv.notify_all();
+      if (!s.ok()) return s;
     } else {
       r->cv.wait(lock);
     }
@@ -509,32 +485,44 @@ Status WriteAheadLog::Sync() {
     if (!r->error.ok()) return r->error;
   }
   r->writer_active = true;
+  const Status s = CommitStagedLocked(lock, /*sync=*/true);
+  r->writer_active = false;
+  r->cv.notify_all();
+  return s;
+}
+
+Status WriteAheadLog::CommitStagedLocked(std::unique_lock<std::mutex>& lock,
+                                         bool sync) {
+  Rep* r = rep_.get();
   const bool have_batch = !r->pending.empty();
   const uint64_t batch_seq = have_batch ? r->next_batch_seq++ : 0;
-  const uint64_t batch_end_lsn =
-      r->last_lsn.load(std::memory_order_relaxed);
+  // Every staged frame is in `pending`, so the last assigned LSN is
+  // exactly the end of the batch being cut.
+  const uint64_t batch_end_lsn = r->last_lsn.load(std::memory_order_relaxed);
   std::string batch;
   batch.swap(r->pending);
-  const uint64_t batch_records = r->pending_records;
-  r->pending_records = 0;
-  std::vector<TraceContext> batch_traces;
-  batch_traces.swap(r->pending_traces);
+  const uint64_t batch_records = std::exchange(r->pending_records, 0);
+  const TraceContext batch_trace = std::exchange(r->pending_trace, {});
   CommitSink sink = r->commit_sink;
   lock.unlock();
+  Status s;
   if (have_batch) {
     WalBatchRecords().Observe(static_cast<double>(batch_records));
+    s = r->file.Append(batch);
   }
-  Status s = have_batch ? r->file.Append(batch) : Status::OK();
-  if (s.ok()) s = TimedSync(&r->file);
+  if (s.ok()) s = sync ? TimedSync(&r->file) : r->file.Flush();
+  // Report the batch to replication only once it is in the file: a
+  // reported record is never less durable on the leader than
+  // advertised, and a reader sent to its position finds it there. The
+  // writer slot keeps the file and seq stable.
   if (s.ok() && have_batch && sink) {
-    sink(batch_end_lsn - batch_records + 1, batch_records, batch,
-         batch_traces);
+    sink({batch_end_lsn, r->seq.load(std::memory_order_relaxed),
+          static_cast<uint64_t>(r->file.size())},
+         batch_trace);
   }
   lock.lock();
-  r->writer_active = false;
   if (!s.ok()) {
     r->error = s;
-    r->cv.notify_all();
     return s;
   }
   if (have_batch) {
@@ -543,8 +531,14 @@ Status WriteAheadLog::Sync() {
     r->size_bytes.fetch_add(static_cast<int64_t>(batch.size()),
                             std::memory_order_acq_rel);
   }
-  r->cv.notify_all();
   return s;
+}
+
+WalPosition WriteAheadLog::committed() const {
+  std::lock_guard<std::mutex> lock(rep_->mu);
+  return {rep_->committed_lsn, rep_->seq.load(std::memory_order_relaxed),
+          static_cast<uint64_t>(
+              rep_->size_bytes.load(std::memory_order_relaxed))};
 }
 
 void WriteAheadLog::SetCommitSink(CommitSink sink) {
@@ -590,6 +584,7 @@ Status WriteAheadLog::RotateLocked(std::unique_lock<std::mutex>& lock) {
   // last committed LSN — the chain stays dense.
   const uint64_t end_lsn = r->committed_lsn;
   const uint64_t new_seq = r->seq.load(std::memory_order_relaxed) + 1;
+  CommitSink sink = r->commit_sink;
   lock.unlock();
   // Seal: everything in the old segment is durable before the next
   // segment exists, so a torn tail can only ever appear in the active
@@ -598,6 +593,12 @@ Status WriteAheadLog::RotateLocked(std::unique_lock<std::mutex>& lock) {
   Result<AppendOnlyFile> next = s.ok()
                                     ? CreateSegment(r->dir, new_seq, end_lsn)
                                     : Result<AppendOnlyFile>(s);
+  // The committed position moves to the new segment's start: compaction
+  // may unlink the sealed one, and a reader must find `end_lsn` here.
+  if (next.ok() && sink) {
+    sink({end_lsn, new_seq, static_cast<uint64_t>(next.value().size())},
+         TraceContext{});
+  }
   lock.lock();
   if (!next.ok()) {
     r->error = next.status();
@@ -609,6 +610,172 @@ Status WriteAheadLog::RotateLocked(std::unique_lock<std::mutex>& lock) {
   r->size_bytes.store(r->file.size(), std::memory_order_release);
   WalRotationsTotal().Add();
   return Status::OK();
+}
+
+// ---- WalTailReader ----------------------------------------------------------
+
+struct WalTailReader::Rep {
+  ~Rep() {
+    if (fd >= 0) ::close(fd);
+  }
+
+  std::string dir;
+  /// The open segment.
+  std::string path;
+  int fd = -1;
+  uint64_t seq = 0;
+  uint64_t base = 0;
+  /// Bytes of the segment read so far; `buf[pos..]` are the ones not
+  /// yet returned as records.
+  uint64_t offset = 0;
+  std::string buf;
+  size_t pos = 0;
+  uint64_t next_lsn = 0;
+  uint64_t bytes_read = 0;
+};
+
+WalTailReader::WalTailReader(std::unique_ptr<Rep> rep)
+    : rep_(std::move(rep)) {}
+WalTailReader::WalTailReader(WalTailReader&&) noexcept = default;
+WalTailReader& WalTailReader::operator=(WalTailReader&&) noexcept = default;
+WalTailReader::~WalTailReader() = default;
+
+uint64_t WalTailReader::next_lsn() const { return rep_->next_lsn; }
+uint64_t WalTailReader::seq() const { return rep_->seq; }
+uint64_t WalTailReader::bytes_read() const { return rep_->bytes_read; }
+
+Result<WalTailReader> WalTailReader::Open(const std::string& dir,
+                                          uint64_t next_lsn,
+                                          const WalPosition& committed) {
+  if (next_lsn == 0 || next_lsn - 1 > committed.lsn) {
+    return Status::InvalidArgument(
+        "cannot read from LSN " + std::to_string(next_lsn) + " in " + dir +
+        ": the log is committed through " + std::to_string(committed.lsn));
+  }
+  PAW_ASSIGN_OR_RETURN(const std::vector<WalSegmentFile> segments,
+                       ListWalSegments(dir));
+  WalTailReader reader(std::make_unique<Rep>());
+  reader.rep_->dir = dir;
+  // Start in the last segment whose base is below `next_lsn`.
+  uint64_t start = 0;
+  uint64_t oldest_base = 0;
+  for (const WalSegmentFile& segment : segments) {
+    if (segment.seq > committed.seq) break;
+    PAW_RETURN_NOT_OK(reader.OpenSegment(segment.seq));
+    if (start == 0) oldest_base = reader.rep_->base;
+    if (reader.rep_->base >= next_lsn) break;
+    start = segment.seq;
+  }
+  if (start == 0) {
+    return Status::OutOfRange("needs LSN " + std::to_string(next_lsn) +
+                              ", oldest on disk is " +
+                              std::to_string(oldest_base + 1));
+  }
+  if (reader.rep_->seq != start) {
+    PAW_RETURN_NOT_OK(reader.OpenSegment(start));
+  }
+  reader.rep_->next_lsn = reader.rep_->base + 1;
+  WalPosition skip_to = committed;
+  skip_to.lsn = next_lsn - 1;
+  for (std::vector<Record> skipped; reader.next_lsn() < next_lsn;
+       skipped.clear()) {
+    PAW_RETURN_NOT_OK(reader.Read(skip_to, 1024, SIZE_MAX, &skipped));
+  }
+  return reader;
+}
+
+Status WalTailReader::Read(const WalPosition& committed, size_t max_records,
+                           size_t max_bytes, std::vector<Record>* out) {
+  Rep* r = rep_.get();
+  size_t records = 0;
+  size_t bytes = 0;
+  RecordReader reader(std::string_view(r->buf).substr(r->pos));
+  Record record;
+  while (records < max_records && bytes < max_bytes &&
+         r->next_lsn <= committed.lsn) {
+    if (reader.Next(&record) == ReadOutcome::kRecord) {
+      ++r->next_lsn;
+      ++records;
+      bytes += record.payload.size();
+      out->push_back(std::move(record));
+      continue;
+    }
+    // The buffer ends at or inside a frame: read on. The bound's own
+    // segment is read only up to the committed end; an earlier one is
+    // sealed, so all of it is committed.
+    r->pos += reader.valid_bytes();
+    const bool inside_frame = r->pos < r->buf.size();
+    PAW_ASSIGN_OR_RETURN(
+        const size_t got,
+        Fill(r->seq < committed.seq ? UINT64_MAX : committed.offset));
+    if (got == 0 && (inside_frame || r->seq >= committed.seq)) {
+      return Status::FailedPrecondition(
+          r->path + " ends at offset " + std::to_string(r->offset) +
+          " before committed LSN " + std::to_string(r->next_lsn) +
+          (inside_frame ? ": " + reader.tail_error() : ""));
+    }
+    if (got == 0) {
+      // The end of a sealed segment: go on in the next one, whose base
+      // must be the last LSN read.
+      PAW_RETURN_NOT_OK(OpenSegment(r->seq + 1));
+      if (r->base != r->next_lsn - 1) {
+        return Status::FailedPrecondition(
+            r->path + ": segment chain break (base " +
+            std::to_string(r->base) + ", previous segment ends at " +
+            std::to_string(r->next_lsn - 1) + ")");
+      }
+    }
+    reader = RecordReader(std::string_view(r->buf).substr(r->pos));
+  }
+  r->pos += reader.valid_bytes();
+  return Status::OK();
+}
+
+Status WalTailReader::OpenSegment(uint64_t seq) {
+  Rep* r = rep_.get();
+  const std::string path = r->dir + "/" + WalSegmentFileName(seq);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::FailedPrecondition("open " + path + ": " +
+                                      std::strerror(errno));
+  }
+  if (r->fd >= 0) ::close(r->fd);
+  r->fd = fd;
+  r->path = path;
+  r->seq = seq;
+  r->offset = 0;
+  r->buf.clear();
+  r->pos = 0;
+  PAW_RETURN_NOT_OK(Fill(kSegmentHeaderBytes).status());
+  RecordReader reader(r->buf);
+  PAW_ASSIGN_OR_RETURN(r->base, ReadSegmentHeader(&reader, path));
+  r->pos = reader.valid_bytes();
+  return Status::OK();
+}
+
+Result<size_t> WalTailReader::Fill(uint64_t end) {
+  Rep* r = rep_.get();
+  if (r->offset >= end) return size_t{0};
+  const size_t want = static_cast<size_t>(
+      std::min<uint64_t>(kTailReadChunk, end - r->offset));
+  r->buf.erase(0, r->pos);
+  r->pos = 0;
+  const size_t kept = r->buf.size();
+  r->buf.resize(kept + want);
+  ssize_t got = 0;
+  do {
+    got = ::pread(r->fd, r->buf.data() + kept, want,
+                  static_cast<off_t>(r->offset));
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) {
+    const int err = errno;
+    r->buf.resize(kept);
+    return Status::Internal("read " + r->path + ": " + std::strerror(err));
+  }
+  r->buf.resize(kept + static_cast<size_t>(got));
+  r->offset += static_cast<uint64_t>(got);
+  r->bytes_read += static_cast<uint64_t>(got);
+  return static_cast<size_t>(got);
 }
 
 }  // namespace paw

@@ -55,6 +55,10 @@
 /// reconstructs the same assignment. A caller's record is on stable
 /// storage when `Append` returns iff `sync_each_append` is set; with N
 /// concurrent appenders the N fsyncs collapse into one per batch.
+///
+/// **Tailing.** `WalTailReader` reads committed records forward from
+/// the segment files while appends continue; the commit sink tells it
+/// how far the log is committed.
 
 #include <atomic>
 #include <condition_variable>
@@ -148,6 +152,15 @@ struct WalOptions {
   uint64_t segment_bytes = 0;
 };
 
+/// \brief A point in the log: the LSN of the last record before it,
+/// and where that record ends on disk (segment seq, byte offset just
+/// past its frame).
+struct WalPosition {
+  uint64_t lsn = 0;
+  uint64_t seq = 0;
+  uint64_t offset = 0;
+};
+
 /// \brief What `WriteAheadLog::Rotate` just did.
 struct WalRotation {
   /// Seq of the segment sealed by this rotation.
@@ -168,18 +181,17 @@ class WriteAheadLog {
   /// compares below it, so reclaim is unrestricted).
   static constexpr uint64_t kNoRetainFloor = UINT64_MAX;
 
-  /// \brief Tap on the group-commit leader: called after a batch is on
-  /// disk (post fdatasync when `sync_each_append`, post flush
-  /// otherwise) with the LSN of the batch's first record, the record
-  /// count, the batch's raw record frames (record.h framing), and the
-  /// per-record trace contexts captured at `Append` (one entry per
-  /// record, null contexts for untraced appends). Invocations are
-  /// serialized and arrive in LSN order — the caller holds the writer
-  /// slot. Replication forks live batches here and stamps the stream's
-  /// push frames from the contexts.
-  using CommitSink = std::function<void(
-      uint64_t first_lsn, uint64_t num_records, std::string_view frames,
-      const std::vector<TraceContext>& traces)>;
+  /// \brief Tap on the group-commit leader: called once a batch is in
+  /// the segment file (post fdatasync when `sync_each_append`, post
+  /// flush otherwise) with where the batch ends, and with the trace
+  /// context of its first traced record (null when none was traced);
+  /// and once a rotation has created the next segment, with that
+  /// segment's start (the LSN unchanged, a null context). Invocations
+  /// are serialized and arrive in log order — the caller holds the
+  /// writer slot. Replication takes it as a wake-up and reads the
+  /// batch back from the file (`WalTailReader`).
+  using CommitSink =
+      std::function<void(const WalPosition& end, const TraceContext& trace)>;
 
   /// \brief Creates an empty log in `dir`: manifest `first=1` and
   /// segment 1 whose header carries `base_lsn`. Fails if `dir` already
@@ -248,11 +260,10 @@ class WriteAheadLog {
     return rep_->seq.load(std::memory_order_acquire);
   }
 
-  /// \brief Committed size of the *active* segment in bytes (excludes
-  /// frames still being staged by in-flight appends).
-  int64_t size_bytes() const {
-    return rep_->size_bytes.load(std::memory_order_acquire);
-  }
+  /// \brief The committed end of the log: the position the commit sink
+  /// last reported (after a rotation, the new segment's start), or the
+  /// end of the recovered log.
+  WalPosition committed() const;
 
   /// \brief Directory holding manifest + segments.
   const std::string& dir() const { return rep_->dir; }
@@ -296,10 +307,10 @@ class WriteAheadLog {
     /// Record count behind `pending` (the group-commit batch-size
     /// metric needs records, not bytes).
     uint64_t pending_records = 0;
-    /// Trace context of each staged record (captured from the
-    /// appender's thread-local at `Append`), parallel to the records
-    /// behind `pending`; swapped out with the batch at the cut.
-    std::vector<TraceContext> pending_traces;
+    /// Trace context of the first traced record behind `pending`
+    /// (captured from the appender's thread-local at `Append`); taken
+    /// with the batch at the cut.
+    TraceContext pending_trace;
     /// Commit-group bookkeeping: a staged frame belongs to batch
     /// `next_batch_seq`; the leader that cuts a batch takes that seq
     /// and bumps it, and `committed_seq` trails behind as batches land.
@@ -332,6 +343,64 @@ class WriteAheadLog {
   /// committed LSN — exactly what keeps the chain dense. Do not flush
   /// them into the sealed segment here.
   Status RotateLocked(std::unique_lock<std::mutex>& lock);
+
+  /// Cuts the staged frames into one batch, writes it, then fdatasyncs
+  /// (`sync`) or flushes, reports it to the commit sink and publishes
+  /// it as committed; an error poisons the log. Caller holds the
+  /// writer slot with `lock` on `rep_->mu`; returns with it re-locked.
+  Status CommitStagedLocked(std::unique_lock<std::mutex>& lock, bool sync);
+
+  std::unique_ptr<Rep> rep_;
+};
+
+/// \brief Reads a log's records forward by position, while appends
+/// continue: the leader side of replication.
+///
+/// The reader holds one segment open and `pread`s it forward into one
+/// reused buffer, so each byte is read once. It never returns a record
+/// past the `WalPosition` the caller bounds a `Read` with — normally
+/// the commit sink's last report — so a record staged or written but
+/// not yet committed stays invisible. A segment below the bound's seq
+/// is sealed; at its end the reader opens the next one and checks its
+/// header's base LSN against the last LSN it read, as `Open` does.
+class WalTailReader {
+ public:
+  /// \brief Positions a reader in `dir` so that its next record has
+  /// LSN `next_lsn`, scanning segment headers and skipping the records
+  /// before it (up to `committed`). InvalidArgument when `next_lsn - 1`
+  /// is past `committed`; OutOfRange when it predates the oldest
+  /// segment on disk.
+  static Result<WalTailReader> Open(const std::string& dir,
+                                    uint64_t next_lsn,
+                                    const WalPosition& committed);
+
+  WalTailReader(WalTailReader&&) noexcept;
+  WalTailReader& operator=(WalTailReader&&) noexcept;
+  ~WalTailReader();
+
+  /// \brief Appends whole records to `*out`, at most up to `committed`,
+  /// until `max_records` records or `max_bytes` payload bytes are
+  /// collected. Returns OK with nothing appended when the reader is at
+  /// `committed` already.
+  Status Read(const WalPosition& committed, size_t max_records,
+              size_t max_bytes, std::vector<Record>* out);
+
+  /// \brief LSN of the next record `Read` returns.
+  uint64_t next_lsn() const;
+  /// \brief Seq of the segment the reader is in.
+  uint64_t seq() const;
+  /// \brief Bytes read from segment files so far.
+  uint64_t bytes_read() const;
+
+ private:
+  struct Rep;
+  explicit WalTailReader(std::unique_ptr<Rep> rep);
+
+  /// Opens segment `seq` and reads its header.
+  Status OpenSegment(uint64_t seq);
+  /// Reads more of the open segment into the buffer, never past byte
+  /// `end`; returns the count (0 at `end` or at the end of the file).
+  Result<size_t> Fill(uint64_t end);
 
   std::unique_ptr<Rep> rep_;
 };

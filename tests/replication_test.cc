@@ -1,8 +1,13 @@
 // End-to-end WAL-shipping replication tests: a leader pawd and a
-// follower pawd over real sockets. Covers disk catch-up (the follower
-// attaches after ingest), live streaming (group-commit batches forked
-// to the subscriber), privacy-enforced reads on the follower, the
-// read-only write rejection, quorum acks, follower queries running
+// follower pawd over real sockets. Covers catch-up (the follower
+// attaches after ingest, or after a leader restart, and reads the
+// backlog from the segment files in linear bytes), catch-up across a
+// compaction, live streaming (each group commit wakes the sender),
+// privacy-enforced reads on the follower, the read-only write
+// rejection, a refused SUBSCRIBE (no pin left behind, and the reason
+// in the follower's STATUS), a caught-up follower re-attaching after an
+// idle leader's compaction, a failed segment read dropping the
+// connection, quorum acks, follower queries running
 // concurrently with leader ingest (the TSan target), and promotion:
 // restarting the follower's store directory as a new leader.
 
@@ -19,14 +24,18 @@
 #include <vector>
 
 #include "src/client/paw_client.h"
+#include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/provenance/executor.h"
 #include "src/provenance/serialize.h"
 #include "src/privacy/policy_text.h"
 #include "src/repo/disease.h"
 #include "src/server/wire.h"
+#include "src/store/record.h"
 #include "src/store/sharded_repository.h"
+#include "src/store/wal.h"
 #include "src/workflow/serialize.h"
+#include "tests/store_test_util.h"
 
 namespace paw {
 namespace {
@@ -79,6 +88,12 @@ std::string DiseaseExecText(const Specification& spec, int run) {
   auto exec = Execute(spec, fns, inputs);
   EXPECT_TRUE(exec.ok());
   return SerializeExecution(exec.value());
+}
+
+uint64_t ReplReadBytes() {
+  return MetricsRegistry::Global()
+      .GetCounter("paw_repl_read_bytes_total")
+      .value();
 }
 
 /// Polls `pred` until it returns true or ~20 s elapse (replication is
@@ -155,6 +170,56 @@ struct ReplFixture {
     }
   }
 
+  /// Stops the leader, appends executions `first_run..first_run +
+  /// count - 1` straight into its store (far faster than the wire),
+  /// and starts it again: none of that backlog is in its memory.
+  void RestartLeaderWithBacklog(int first_run, int count) {
+    leader->Stop();
+    leader.reset();
+    {
+      auto store = ShardedRepository::Open(leader_dir);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto ref = store.value().FindSpec(spec.name());
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      const Specification& stored = store.value()
+                                        .shard(ref.value().shard)
+                                        .repo()
+                                        .entry(ref.value().id)
+                                        .spec;
+      FunctionRegistry fns = BuildDiseaseFunctions();
+      for (int run = first_run; run < first_run + count; ++run) {
+        ValueMap inputs = DiseaseInputs();
+        inputs["SNPs"] = "rs" + std::to_string(run);
+        auto exec = Execute(stored, fns, inputs);
+        ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+        auto added =
+            store.value().AddExecution(ref.value(), std::move(exec).value());
+        ASSERT_TRUE(added.ok()) << added.status().ToString();
+      }
+      ASSERT_TRUE(store.value().Sync().ok());
+    }
+    auto restarted = PawServer::Start(leader_dir, LeaderOptions());
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    leader = std::move(restarted).value();
+  }
+
+  std::string LeaderShardDir(int shard) const {
+    return leader_dir + "/" + ShardedRepository::ShardDirName(shard);
+  }
+
+  /// Polls the follower's STATUS until its text contains `needle`;
+  /// `*text` holds the last text read.
+  bool WaitForFollowerStatus(const std::string& needle, std::string* text) {
+    return WaitFor([&] {
+      auto client = Client(*follower, "root");
+      if (!client.ok()) return false;
+      auto status = client.value().GetStatus();
+      if (!status.ok()) return false;
+      *text = status.value().text;
+      return text->find(needle) != std::string::npos;
+    });
+  }
+
   /// Executions currently visible on `server` (-1 on error).
   int CountExecutions(PawServer& server, const std::string& user = "root") {
     auto client = Client(server, user);
@@ -170,8 +235,8 @@ TEST(ReplicationTest, FollowerCatchesUpStreamsLiveAndServesReads) {
   f.UploadSpec();
   f.IngestExecutions(0, 10);
 
-  // The follower attaches *after* ingest: everything above arrives via
-  // the disk catch-up path (sealed + active segment files).
+  // The follower attaches *after* ingest, so it starts behind: its
+  // cursors read these records from the active segment files.
   f.StartFollower();
   ASSERT_TRUE(WaitFor([&] {
     return f.CountExecutions(*f.follower) == 10;
@@ -215,7 +280,8 @@ TEST(ReplicationTest, FollowerCatchesUpStreamsLiveAndServesReads) {
                   .IsFailedPrecondition());
   EXPECT_TRUE(root.value().Compact().IsFailedPrecondition());
 
-  // Live streaming: new leader commits flow through the in-memory ring.
+  // Live streaming: each new leader commit wakes the sender, which
+  // reads the batch just written from the same cursor.
   f.IngestExecutions(10, 5);
   EXPECT_TRUE(WaitFor([&] {
     return f.CountExecutions(*f.follower) == 15;
@@ -446,9 +512,238 @@ TEST(ReplicationTest, PromotedFollowerServesWrites) {
                                          DiseaseExecText(f.spec, 100));
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_EQ(f.CountExecutions(*promoted.value()), 6);
-  // And its replication manager accepts subscribers of its own: the
-  // old leader's store could re-attach as a follower here (drilled
-  // end-to-end by tools/check.sh).
+  // Its replication manager accepts subscribers of its own:
+  // tools/check.sh's failover drill attaches a fresh follower to the
+  // promoted leader.
+}
+
+TEST(ReplicationTest, RefusedSubscribeReleasesItsRetentionPin) {
+  ReplFixture f = ReplFixture::Create("refused", LeaderOptions());
+  // The follower's store holds a spec this (empty) leader never
+  // logged: it is ahead, and the leader refuses it on every retry.
+  {
+    auto store = ShardedRepository::Open(f.follower_dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto spec = BuildDiseaseSpec();
+    ASSERT_TRUE(spec.ok());
+    ASSERT_TRUE(store.value()
+                    .AddSpecification(std::move(spec).value(),
+                                      DiseasePolicy())
+                    .ok());
+    ASSERT_TRUE(store.value().Sync().ok());
+  }
+  f.StartFollower();
+  // The follower's STATUS says why it is not connected.
+  std::string text;
+  EXPECT_TRUE(f.WaitForFollowerStatus("ahead of the leader", &text)) << text;
+  EXPECT_NE(text.find("(connecting; last error: "), std::string::npos)
+      << text;
+  // Stop the retries, so no SUBSCRIBE is mid-validation below.
+  f.follower->Stop();
+  f.follower.reset();
+
+  // No refused SUBSCRIBE left a retention floor behind...
+  for (int s = 0; s < kShards; ++s) {
+    auto floor = ReadWalRetainFloor(f.LeaderShardDir(s));
+    ASSERT_TRUE(floor.ok()) << floor.status().ToString();
+    EXPECT_EQ(floor.value(), WriteAheadLog::kNoRetainFloor) << "shard " << s;
+  }
+  // ...so compaction reclaims every sealed segment.
+  auto root = f.Client(*f.leader, "root");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(root.value().Compact().ok());
+  ASSERT_TRUE(root.value().Compact().ok());
+  for (int s = 0; s < kShards; ++s) {
+    auto segments = ListWalSegments(f.LeaderShardDir(s));
+    ASSERT_TRUE(segments.ok());
+    EXPECT_EQ(segments.value().size(), 1u) << "shard " << s;
+  }
+}
+
+// COMPACT seals and unlinks each shard's segment on an idle leader. A
+// caught-up follower that was away meanwhile must still be accepted:
+// its next LSN starts the fresh segment.
+TEST(ReplicationTest, CaughtUpFollowerReattachesAfterIdleCompaction) {
+  ReplFixture f = ReplFixture::Create("idle_compact", LeaderOptions());
+  f.UploadSpec();
+  f.IngestExecutions(0, 5);
+  f.StartFollower();
+  ASSERT_TRUE(WaitFor([&] { return f.CountExecutions(*f.follower) == 5; }))
+      << "follower saw " << f.CountExecutions(*f.follower);
+  f.follower->Stop();
+  f.follower.reset();
+  // Its retention pins go with its connection...
+  ASSERT_TRUE(WaitFor([&] {
+    for (int s = 0; s < kShards; ++s) {
+      auto floor = ReadWalRetainFloor(f.LeaderShardDir(s));
+      if (!floor.ok() || floor.value() != WriteAheadLog::kNoRetainFloor) {
+        return false;
+      }
+    }
+    return true;
+  }));
+  // ...so COMPACT leaves only the fresh segment on every shard.
+  auto root = f.Client(*f.leader, "root");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(root.value().Compact().ok());
+  for (int s = 0; s < kShards; ++s) {
+    auto segments = ListWalSegments(f.LeaderShardDir(s));
+    ASSERT_TRUE(segments.ok());
+    ASSERT_EQ(segments.value().size(), 1u) << "shard " << s;
+  }
+
+  f.StartFollower();
+  std::string text;
+  EXPECT_TRUE(f.WaitForFollowerStatus("(connected)", &text)) << text;
+  f.IngestExecutions(5, 3);
+  EXPECT_TRUE(WaitFor([&] { return f.CountExecutions(*f.follower) == 8; }))
+      << "follower saw " << f.CountExecutions(*f.follower);
+}
+
+// The committed tail of a segment is cut away under the leader, so the
+// sender's read fails. The leader must close the connection rather
+// than leave the follower attached with nothing pushed: the follower's
+// STATUS then says it is reconnecting, and why.
+TEST(ReplicationTest, FailedSegmentReadClosesTheFollowerConnection) {
+  ReplFixture f = ReplFixture::Create("failed_read", LeaderOptions());
+  f.UploadSpec();
+  f.IngestExecutions(0, 10);
+  auto segments = ListWalSegments(
+      f.LeaderShardDir(ShardedRepository::ShardOf(f.spec.name(), kShards)));
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  const std::string& path = segments.value().back().path;
+  fs::resize_file(path, fs::file_size(path) - 7);
+
+  f.StartFollower();
+  std::string text;
+  EXPECT_TRUE(f.WaitForFollowerStatus("closed by server", &text)) << text;
+  EXPECT_EQ(f.CountExecutions(*f.follower), 0);
+}
+
+TEST(ReplicationTest, FreshFollowerCatchesUpABacklogInLinearReads) {
+  ReplFixture f = ReplFixture::Create("backlog", LeaderOptions());
+  f.UploadSpec();
+  // Several full pushes (512 records each) on the spec's shard, none
+  // of it in the restarted leader's memory.
+  constexpr int kBacklog = 2600;
+  ASSERT_NO_FATAL_FAILURE(f.RestartLeaderWithBacklog(0, kBacklog));
+  const uint64_t read_before = ReplReadBytes();
+  f.StartFollower();
+  ASSERT_TRUE(WaitFor([&] {
+    return f.CountExecutions(*f.follower) == kBacklog;
+  })) << "follower saw " << f.CountExecutions(*f.follower);
+
+#if !defined(PAW_NO_METRICS)
+  // The sender read each WAL byte about once: payload plus framing,
+  // not the segment again for every push.
+  uint64_t payload_bytes = 0;
+  for (int s = 0; s < kShards; ++s) {
+    auto records = WalSegmentRecords(f.LeaderShardDir(s));
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    for (const Record& record : records.value()) {
+      payload_bytes += record.payload.size();
+    }
+  }
+  const uint64_t read = ReplReadBytes() - read_before;
+  EXPECT_GE(read, payload_bytes);
+  EXPECT_LE(read, 2 * payload_bytes)
+      << "read " << read << " bytes to ship " << payload_bytes;
+#endif
+}
+
+// A subscriber that stops acking holds the leader's sender at the
+// unacked window, part-way through the backlog in the sealed segment.
+// A COMPACT then seals that segment under the cursor, and new writes
+// land in the active one: the stream must cross the boundary with
+// every record, in LSN order.
+TEST(ReplicationTest, CompactionMidCatchUpKeepsRecordsInLsnOrder) {
+  ReplFixture f = ReplFixture::Create("compact_mid", LeaderOptions());
+  f.UploadSpec();
+  // More than the window holds: 8 unacked pushes of at most 512.
+  constexpr int kBacklog = 4600;
+  ASSERT_NO_FATAL_FAILURE(f.RestartLeaderWithBacklog(0, kBacklog));
+  const size_t shard = static_cast<size_t>(
+      ShardedRepository::ShardOf(f.spec.name(), kShards));
+
+  auto sub = f.Client(*f.leader, "root");
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  wire::SubscribeRequest request;
+  request.last_lsns.assign(kShards, 0);
+  request.follower_name = "raw";
+  ASSERT_TRUE(sub.value().Subscribe(request).ok());
+
+  struct Push {
+    uint64_t request_id;
+    wire::ReplicateResponse ack;
+    TraceContext trace;
+  };
+  std::vector<Push> unacked;
+  std::vector<std::vector<Record>> got(kShards);
+  const auto read_push = [&] {
+    auto frame = sub.value().ReadPushedFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    auto batch = wire::DecodeReplicateRequest(frame.value().payload);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    std::vector<Record>& records =
+        got[static_cast<size_t>(batch.value().shard)];
+    ASSERT_EQ(batch.value().base_lsn, records.size() + 1)
+        << "pushes out of LSN order";
+    for (auto& rec : batch.value().records) {
+      records.push_back(
+          {static_cast<RecordType>(rec.type), std::move(rec.payload)});
+    }
+    unacked.push_back({frame.value().request_id,
+                       {batch.value().shard, records.size()},
+                       frame.value().trace});
+  };
+  const auto ack_all = [&] {
+    for (const Push& push : unacked) {
+      std::string payload;
+      wire::AppendResponseStatus(Status::OK(), &payload);
+      payload += wire::EncodeReplicateResponse(push.ack);
+      ASSERT_TRUE(sub.value()
+                      .SendRawFrame(wire::Opcode::kReplicate,
+                                    push.request_id, std::move(payload),
+                                    push.trace)
+                      .ok());
+    }
+    unacked.clear();
+  };
+
+  for (int i = 0; i < 8 && !::testing::Test::HasFatalFailure(); ++i) {
+    read_push();
+  }
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_LT(got[shard].size(), static_cast<size_t>(kBacklog))
+      << "the cursor should still be inside the backlog";
+
+  auto root = f.Client(*f.leader, "root");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(root.value().Compact().ok());
+  // The subscriber's pin kept the sealed segment its cursor reads.
+  EXPECT_TRUE(
+      fs::exists(f.LeaderShardDir(static_cast<int>(shard)) + "/" +
+                 WalSegmentFileName(1)));
+  f.IngestExecutions(kBacklog, 20);  // into the new active segment
+
+  const size_t total = 1 + kBacklog + 20;  // spec + executions
+  ack_all();
+  while (got[shard].size() < total && !::testing::Test::HasFatalFailure()) {
+    read_push();
+    ack_all();
+  }
+  for (int s = 0; s < kShards; ++s) {
+    auto leader_records = WalSegmentRecords(f.LeaderShardDir(s));
+    ASSERT_TRUE(leader_records.ok()) << leader_records.status().ToString();
+    const std::vector<Record>& expected = leader_records.value();
+    const std::vector<Record>& records = got[static_cast<size_t>(s)];
+    ASSERT_EQ(records.size(), expected.size()) << "shard " << s;
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].type, expected[i].type) << "lsn " << i + 1;
+      ASSERT_EQ(records[i].payload, expected[i].payload) << "lsn " << i + 1;
+    }
+  }
+  EXPECT_EQ(got[shard].size(), total);
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/status.h"
+#include "src/store/wal.h"
 
 namespace paw {
 
@@ -24,6 +26,25 @@ template <typename T>
 void CloseStore(Result<T>* store) {
   T closed = std::move(*store).value();
   (void)closed;
+}
+
+/// \brief Whole records of every WAL segment file in `dir`, in seq
+/// order, segment headers excluded: a reading of the log independent
+/// of `WalTailReader`, to compare what a reader or a follower got.
+inline Result<std::vector<Record>> WalSegmentRecords(const std::string& dir) {
+  PAW_ASSIGN_OR_RETURN(const std::vector<WalSegmentFile> segments,
+                       ListWalSegments(dir));
+  std::vector<Record> out;
+  for (const WalSegmentFile& segment : segments) {
+    PAW_ASSIGN_OR_RETURN(const std::string contents,
+                         ReadFileToString(segment.path));
+    RecordReader reader(contents);
+    Record record;
+    while (reader.Next(&record) == ReadOutcome::kRecord) {
+      if (record.type != RecordType::kWalHeader) out.push_back(record);
+    }
+  }
+  return out;
 }
 
 /// \brief Every regular file under `dir` (recursively), keyed by its

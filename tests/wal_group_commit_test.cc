@@ -1,7 +1,8 @@
 // Tests for the thread-safe group-commit WAL: concurrent appenders
 // get unique, dense LSNs; the file replays every record in LSN order;
-// a record's payload matches the LSN its appender was handed; and the
-// single-threaded path still behaves exactly as before.
+// a record's payload matches the LSN its appender was handed; the
+// single-threaded path still behaves exactly as before; and a tail
+// reader returns committed records by position, across segments.
 
 #include "src/store/wal.h"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/store/record.h"
+#include "tests/store_test_util.h"
 
 namespace paw {
 namespace {
@@ -331,10 +333,11 @@ TEST(WalSegmentTest, MissingLiveSegmentIsCorruption) {
 }
 
 TEST(WalReplicationTest, CommitSinkSeesEveryBatchInLsnOrder) {
-  // The commit sink is the leader-side replication tap: concurrent
+  // The commit sink is the leader-side replication wake-up: concurrent
   // appenders ride shared group commits, and the sink must still see a
-  // gapless, ordered LSN stream whose frames re-parse to the payloads
-  // the appenders wrote.
+  // gapless, ordered stream of batch ends. Replication reads each batch
+  // back from the file, so the file must already hold the batch, up to
+  // the reported offset, when the sink fires.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
   const std::string dir = TestDir("sink");
@@ -342,25 +345,31 @@ TEST(WalReplicationTest, CommitSinkSeesEveryBatchInLsnOrder) {
   ASSERT_TRUE(wal.ok());
 
   std::mutex mu;
-  uint64_t next_expected = 1;
+  WalPosition last;
   std::map<uint64_t, std::string> streamed;
-  wal.value().SetCommitSink([&](uint64_t first_lsn, uint64_t num_records,
-                                std::string_view frames,
-                                const std::vector<TraceContext>& traces) {
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(first_lsn, next_expected) << "gap in the sink stream";
-    // One captured trace context per record, always (null ones for
-    // appenders with no current trace, like these).
-    EXPECT_EQ(traces.size(), num_records);
-    RecordReader reader(frames);
-    Record record;
-    uint64_t lsn = first_lsn;
-    while (reader.Next(&record) == ReadOutcome::kRecord) {
-      streamed[lsn++] = std::string(record.payload);
-    }
-    EXPECT_EQ(lsn, first_lsn + num_records);
-    next_expected = lsn;
-  });
+  wal.value().SetCommitSink(
+      [&](const WalPosition& end, const TraceContext& trace) {
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_GT(end.lsn, last.lsn) << "sink stream out of order";
+        EXPECT_FALSE(trace.valid());  // these appenders trace nothing
+        last = end;
+        auto contents =
+            ReadFileToString(dir + "/" + WalSegmentFileName(end.seq));
+        ASSERT_TRUE(contents.ok());
+        ASSERT_GE(contents.value().size(), end.offset);
+        // The reported prefix of the file parses into whole records
+        // ending exactly at the batch's last LSN.
+        RecordReader reader(
+            std::string_view(contents.value()).substr(0, end.offset));
+        Record record;
+        uint64_t lsn = 0;
+        while (reader.Next(&record) == ReadOutcome::kRecord) {
+          if (record.type == RecordType::kWalHeader) continue;
+          streamed[++lsn] = record.payload;
+        }
+        EXPECT_EQ(reader.dropped_bytes(), 0u);
+        EXPECT_EQ(lsn, end.lsn) << "file lags the sink";
+      });
 
   std::vector<std::map<uint64_t, std::string>> seen(kThreads);
   std::vector<std::thread> threads;
@@ -384,10 +393,10 @@ TEST(WalReplicationTest, CommitSinkSeesEveryBatchInLsnOrder) {
   ASSERT_TRUE(wal.value().Sync().ok());
   wal.value().SetCommitSink(nullptr);
 
-  // The sink saw exactly the records the appenders were acked for —
-  // same LSNs, same payloads (disk content never lags the sink: the
-  // batch is written and flushed before the sink fires).
+  // The sink reported every record the appenders were acked for, and
+  // the file held each one, with its payload, when it did.
   std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(last.lsn, static_cast<uint64_t>(kThreads) * kPerThread);
   ASSERT_EQ(streamed.size(), static_cast<size_t>(kThreads) * kPerThread);
   for (const auto& m : seen) {
     for (const auto& [lsn, payload] : m) {
@@ -395,6 +404,199 @@ TEST(WalReplicationTest, CommitSinkSeesEveryBatchInLsnOrder) {
       EXPECT_EQ(streamed[lsn], payload) << "lsn=" << lsn;
     }
   }
+  // The log's committed position is the sink's last report.
+  const WalPosition committed = wal.value().committed();
+  EXPECT_EQ(committed.lsn, last.lsn);
+  EXPECT_EQ(committed.seq, last.seq);
+  EXPECT_EQ(committed.offset, last.offset);
+}
+
+TEST(WalReplicationTest, RotationMovesTheCommittedPosition) {
+  // A rotation reports the new segment's start through the sink. A
+  // reader bounded by that report opens in the new segment even once
+  // the sealed one is gone, as compaction leaves an idle log.
+  const std::string dir = TestDir("sink_rotate");
+  auto wal = WriteAheadLog::Create(dir, 0);
+  ASSERT_TRUE(wal.ok());
+  std::vector<WalPosition> reports;
+  wal.value().SetCommitSink(
+      [&](const WalPosition& end, const TraceContext&) {
+        reports.push_back(end);
+      });
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "a").ok());
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "b").ok());
+  ASSERT_TRUE(wal.value().Rotate().ok());
+  ASSERT_EQ(reports.size(), 3u);
+  const WalPosition rotated = reports.back();
+  EXPECT_EQ(rotated.lsn, 2u);
+  EXPECT_EQ(rotated.seq, 2u);
+  EXPECT_EQ(rotated.offset,
+            fs::file_size(dir + "/" + WalSegmentFileName(2)));
+  const WalPosition committed = wal.value().committed();
+  EXPECT_EQ(committed.lsn, rotated.lsn);
+  EXPECT_EQ(committed.seq, rotated.seq);
+  EXPECT_EQ(committed.offset, rotated.offset);
+
+  ASSERT_TRUE(RemoveFileIfExists(dir + "/" + WalSegmentFileName(1)).ok());
+  auto reader = WalTailReader::Open(dir, 3, rotated);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "c").ok());
+  std::vector<Record> records;
+  ASSERT_TRUE(
+      reader.value().Read(reports.back(), 100, 1 << 20, &records).ok());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].payload, "c");
+  wal.value().SetCommitSink(nullptr);
+}
+
+TEST(WalTailReaderTest, StopsAtTheCommittedPosition) {
+  // Whole frames past the committed position are in the file (a group
+  // commit writes its batch before the fsync returns); a reader bounded
+  // by the committed position must return none of them, and must not
+  // even read their bytes.
+  const std::string dir = TestDir("tail_bound");
+  auto wal = WriteAheadLog::Create(dir, 0);
+  ASSERT_TRUE(wal.ok());
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(
+        wal.value().Append(RecordType::kSpecV2, "c" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(wal.value().Sync().ok());
+  const WalPosition committed = wal.value().committed();
+  EXPECT_EQ(committed.lsn, 5u);
+  for (int i = 6; i <= 8; ++i) {
+    ASSERT_TRUE(
+        wal.value().Append(RecordType::kSpecV2, "u" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(wal.value().Sync().ok());
+  ASSERT_EQ(WalSegmentRecords(dir).value().size(), 8u);
+
+  auto reader = WalTailReader::Open(dir, 1, committed);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<Record> records;
+  ASSERT_TRUE(reader.value().Read(committed, 100, 1 << 20, &records).ok());
+  ASSERT_EQ(records.size(), 5u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].payload, "c" + std::to_string(i + 1));
+  }
+  EXPECT_EQ(reader.value().next_lsn(), 6u);
+  EXPECT_EQ(reader.value().bytes_read(), committed.offset);
+  // At the bound, a further read returns nothing.
+  ASSERT_TRUE(reader.value().Read(committed, 100, 1 << 20, &records).ok());
+  EXPECT_EQ(records.size(), 5u);
+  // The LSN bounds a read on its own, too.
+  WalPosition by_lsn = wal.value().committed();
+  by_lsn.lsn = 6;
+  ASSERT_TRUE(reader.value().Read(by_lsn, 100, 1 << 20, &records).ok());
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_EQ(records[5].payload, "u6");
+}
+
+TEST(WalTailReaderTest, ReadsAcrossSealedSegmentsOnce) {
+  // Rotations (one of them leaving a header-only segment) split the
+  // log; a reader crosses each sealed→active boundary, returns every
+  // record in LSN order within its caps, and reads each byte once.
+  const std::string dir = TestDir("tail_rotate");
+  auto wal = WriteAheadLog::Create(dir, 0);
+  ASSERT_TRUE(wal.ok());
+  int n = 0;
+  const auto append = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(wal.value()
+                      .Append(RecordType::kExecutionV2,
+                              "r" + std::to_string(++n) + std::string(40, '.'))
+                      .ok());
+    }
+    ASSERT_TRUE(wal.value().Sync().ok());
+  };
+  append(7);
+  auto reader = WalTailReader::Open(dir, 1, wal.value().committed());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<Record> records;
+  ASSERT_TRUE(reader.value()
+                  .Read(wal.value().committed(), 3, 1 << 20, &records)
+                  .ok());
+  EXPECT_EQ(records.size(), 3u);  // the record cap
+  ASSERT_TRUE(wal.value().Rotate().ok());
+  append(5);
+  ASSERT_TRUE(wal.value().Rotate().ok());
+  ASSERT_TRUE(wal.value().Rotate().ok());  // header-only segment
+  append(4);
+  // A byte cap stops the read once it is reached: three 42-byte
+  // payloads pass 100 bytes.
+  ASSERT_TRUE(reader.value()
+                  .Read(wal.value().committed(), 100, 100, &records)
+                  .ok());
+  EXPECT_EQ(records.size(), 6u);
+  while (reader.value().next_lsn() <= wal.value().committed().lsn) {
+    ASSERT_TRUE(reader.value()
+                    .Read(wal.value().committed(), 4, 1 << 20, &records)
+                    .ok());
+  }
+  auto expected_records = WalSegmentRecords(dir);
+  ASSERT_TRUE(expected_records.ok());
+  const std::vector<Record>& expected = expected_records.value();
+  ASSERT_EQ(records.size(), 16u);
+  ASSERT_EQ(expected.size(), 16u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].payload, expected[i].payload) << "lsn=" << i + 1;
+  }
+  EXPECT_EQ(reader.value().seq(), wal.value().active_seq());
+  uint64_t disk_bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".log") disk_bytes += entry.file_size();
+  }
+  EXPECT_EQ(reader.value().bytes_read(), disk_bytes);
+
+  // Opening mid-log positions on the containing segment.
+  auto mid = WalTailReader::Open(dir, 10, wal.value().committed());
+  ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+  std::vector<Record> tail;
+  ASSERT_TRUE(
+      mid.value().Read(wal.value().committed(), 100, 1 << 20, &tail).ok());
+  ASSERT_EQ(tail.size(), 7u);
+  EXPECT_EQ(tail[0].payload, expected[9].payload);
+}
+
+TEST(WalTailReaderTest, RefusesGoneHistoryAndChainBreaks) {
+  const std::string dir = TestDir("tail_gone");
+  auto wal = WriteAheadLog::Create(dir, 0);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "a").ok());
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "b").ok());
+  ASSERT_TRUE(wal.value().Rotate().ok());
+  ASSERT_TRUE(wal.value().Append(RecordType::kSpecV2, "c").ok());
+  ASSERT_TRUE(wal.value().Sync().ok());
+  const WalPosition committed = wal.value().committed();
+  // Past the committed end: nothing to position on.
+  EXPECT_TRUE(WalTailReader::Open(dir, 5, committed)
+                  .status()
+                  .IsInvalidArgument());
+
+  // A reader in the sealed segment, then the next segment's header is
+  // rewritten with a base that does not continue the chain.
+  auto reader = WalTailReader::Open(dir, 1, committed);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::string header_payload;
+  PutFixed64(&header_payload, 7);
+  std::string header;
+  AppendRecord(RecordType::kWalHeader, header_payload, &header);
+  ASSERT_TRUE(
+      AtomicWriteFile(dir + "/" + WalSegmentFileName(2), header).ok());
+  std::vector<Record> records;
+  WalPosition broken = committed;
+  broken.offset = header.size();
+  const Status status = reader.value().Read(broken, 100, 1 << 20, &records);
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  EXPECT_NE(status.message().find("chain"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(records.size(), 2u);  // the sealed segment's records
+
+  // Records only a snapshot holds: the oldest segment on disk starts
+  // after them.
+  ASSERT_TRUE(RemoveFileIfExists(dir + "/" + WalSegmentFileName(1)).ok());
+  const Status gone = WalTailReader::Open(dir, 1, committed).status();
+  EXPECT_TRUE(gone.IsOutOfRange()) << gone.ToString();
 }
 
 TEST(WalReplicationTest, RetainFloorBlocksReclaimUntilReleased) {

@@ -12,8 +12,9 @@
 # quorum acks, follower queries mid-ingest, write rejection on the
 # follower, a trace drill — a quorum-acked write's trace id must show
 # up in BOTH nodes' TRACE_DUMP output, plus audit-channel and
-# admin-gate checks — then kill -9 the leader and promote the follower
-# with no acked write lost), bench smoke runs (store E10 + server
+# admin-gate checks — then kill -9 the leader, promote the follower
+# with no acked write lost, and catch a fresh follower up on the
+# promoted leader's whole history), bench smoke runs (store E10 + server
 # E11/E12/E13/E14, E11 gated <= 5% observability overhead against a
 # PAW_NO_METRICS + PAW_NO_TRACE baseline build, E13 gated >= 3x cached
 # lineage/structural p50; E12's p99 ratio and E14's follower scaling
@@ -303,6 +304,33 @@ grep -q "acked 5 execution(s)" "$SMOKE_DIR/promo_put.out"
 "$PAWCTL" query "localhost:$PROMO_PORT" omim user=admin \
   | tee "$SMOKE_DIR/promo_q.out"
 grep -q "disease susceptibility" "$SMOKE_DIR/promo_q.out"
+# A late follower: a fresh store attaches to the promoted leader, which
+# holds none of its history in memory, and reads all 245 executions
+# from the segment files by position.
+"$PAWCTL" init "$SMOKE_DIR/late" shards=4
+"$PAWCTL" serve "$SMOKE_DIR/late" port=0 writers=4 \
+  auth=admin:100,alice:0 follow="localhost:$PROMO_PORT" \
+  follow-principal=admin > "$SMOKE_DIR/late_serve.out" 2>&1 &
+LATE_PID=$!
+for _ in $(seq 100); do
+  grep -q "listening on port" "$SMOKE_DIR/late_serve.out" && break
+  sleep 0.1
+done
+LATE_PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' \
+  "$SMOKE_DIR/late_serve.out")"
+test -n "$LATE_PORT"
+for _ in $(seq 300); do
+  "$PAWCTL" connect "localhost:$LATE_PORT" user=admin \
+    > "$SMOKE_DIR/late_status.out" 2>&1 || true
+  grep -q " 245 execution(s)" "$SMOKE_DIR/late_status.out" && break
+  sleep 0.1
+done
+grep -q " 245 execution(s)" "$SMOKE_DIR/late_status.out"
+"$PAWCTL" connect "localhost:$PROMO_PORT" user=admin metrics \
+  > "$SMOKE_DIR/promo_metrics.out"
+grep -q "paw_repl_read_bytes_total" "$SMOKE_DIR/promo_metrics.out"
+kill -9 "$LATE_PID" 2>/dev/null || true
+wait "$LATE_PID" 2>/dev/null || true
 kill -9 "$PROMO_PID" 2>/dev/null || true
 wait "$PROMO_PID" 2>/dev/null || true
 "$PAWCTL" open "$SMOKE_DIR/fol" threads=4 | tee "$SMOKE_DIR/promo_open.out"
